@@ -285,10 +285,6 @@ def decode_region(payload: dict, path: str = "payload") -> Region:
     )
 
 
-def encode_report(suite: str, seed: int, checks: list[dict]) -> dict:
-    return {"suite": suite, "seed": seed, "checks": checks}
-
-
 def decode_report(payload: dict, path: str = "payload") -> dict:
     _check_fields(payload, ("suite", "seed", "checks"), path)
     if not isinstance(payload["checks"], list):
@@ -299,13 +295,6 @@ def decode_report(payload: dict, path: str = "payload") -> dict:
 
 
 # -- documents ----------------------------------------------------------------------
-
-
-_ENCODERS = {
-    "game": encode_game,
-    "simulation": encode_simulation,
-    "region": encode_region,
-}
 
 
 def wrap_document(kind: str, payload: dict) -> dict:

@@ -17,6 +17,7 @@ game is built.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -251,41 +252,26 @@ def carrier_iso(g1: Game, g2: Game):
 
 
 def _match_moves(g1: Game, g2: Game, state_map):
+    """Pair the moves at every state by their successor tallies, or None.
+
+    Equal tallies (under ``state_map``) are an equivalence, so the fibers at
+    i and j match exactly when their tallies agree as multisets; taking, for
+    each move of g1 in canonical order, the first unused move of g2 with an
+    equal tally gives the lexicographically first matching.
+    """
     move_map = {}
     for i in g1.states:
         j = state_map[i]
-        a1s = g1.moves_at(i).items
-        a2s = g2.moves_at(j).items
-        if len(a1s) != len(a2s):
+        unused = [
+            (a2, Counter(g2.next_state(j, a2, d) for d in g2.counters_at(j, a2)))
+            for a2 in g2.moves_at(j)
+        ]
+        if len(unused) != len(g1.moves_at(i)):
             return None
-        found = None
-        for perm in itertools.permutations(a2s):
-            ok = True
-            for a1, a2 in zip(a1s, perm):
-                if not _counters_correspond(g1, g2, state_map, i, a1, j, a2):
-                    ok = False
-                    break
-            if ok:
-                found = dict(zip(a1s, perm))
-                break
-        if found is None:
-            return None
-        for a1, a2 in found.items():
-            move_map[(i, a1)] = a2
+        for a1 in g1.moves_at(i):
+            want = Counter(state_map[g1.next_state(i, a1, d)] for d in g1.counters_at(i, a1))
+            n = next((n for n, (_, tally) in enumerate(unused) if tally == want), None)
+            if n is None:
+                return None
+            move_map[(i, a1)] = unused.pop(n)[0]
     return move_map
-
-
-def _counters_correspond(g1, g2, state_map, i, a1, j, a2) -> bool:
-    d1s = g1.counters_at(i, a1)
-    d2s = g2.counters_at(j, a2)
-    if len(d1s) != len(d2s):
-        return False
-    tally1: dict[Element, int] = {}
-    for d in d1s:
-        t = state_map[g1.next_state(i, a1, d)]
-        tally1[t] = tally1.get(t, 0) + 1
-    tally2: dict[Element, int] = {}
-    for d in d2s:
-        t = g2.next_state(j, a2, d)
-        tally2[t] = tally2.get(t, 0) + 1
-    return tally1 == tally2

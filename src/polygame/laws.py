@@ -64,6 +64,7 @@ from .simulation import (
     zero_sim,
 )
 from .synthesis import (
+    _relation_simulation,
     alfred_region,
     alfred_strategy,
     dominic_region,
@@ -123,53 +124,12 @@ def random_simulation(
     Every surviving pair of the largest relation appears at least once; some
     get a duplicate witness with independently chosen transports.
     """
-    best = max_simulation(src, dst)
-    rel_pairs = [(best.leg1[r], best.leg2[r]) for r in best.apex]
-    rel = set(rel_pairs)
-    if not rel:
-        return zero_sim(src, dst)
 
-    points: list[tuple[Element, Element, Element]] = []
-    for i1, i2 in rel_pairs:
-        copies = 1 + (1 if rng.random() < dup_chance else 0)
-        for c in range(copies):
-            points.append((i1, i2, pair(pair(i1, i2), atom(f"w{c}"))))
-    by_pair: dict[tuple, list] = {}
-    for i1, i2, r in points:
-        by_pair.setdefault((i1, i2), []).append(r)
+    def copies(i1: Element, i2: Element) -> list[Element]:
+        n = 1 + (1 if rng.random() < dup_chance else 0)
+        return [pair(pair(i1, i2), atom(f"w{c}")) for c in range(n)]
 
-    apex = FiniteSet(r for _, _, r in points)
-    leg1 = {r: i1 for i1, _, r in points}
-    leg2 = {r: i2 for _, i2, r in points}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i1, i2, r in points:
-        for a1 in src.moves_at(i1):
-            good_a2 = [
-                a2
-                for a2 in dst.moves_at(i2)
-                if all(
-                    any(
-                        (src.next_state(i1, a1, d1), dst.next_state(i2, a2, d2)) in rel
-                        for d1 in src.counters_at(i1, a1)
-                    )
-                    for d2 in dst.counters_at(i2, a2)
-                )
-            ]
-            a2 = rng.choice(good_a2)
-            alpha[(r, a1)] = a2
-            for d2 in dst.counters_at(i2, a2):
-                good_d1 = [
-                    d1
-                    for d1 in src.counters_at(i1, a1)
-                    if (src.next_state(i1, a1, d1), dst.next_state(i2, a2, d2)) in rel
-                ]
-                d1 = rng.choice(good_d1)
-                beta[(r, a1, d2)] = d1
-                target = (src.next_state(i1, a1, d1), dst.next_state(i2, a2, d2))
-                gamma[(r, a1, d2)] = rng.choice(by_pair[target])
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    return _relation_simulation(src, dst, copies, lambda it: rng.choice(list(it)), rng.choice)
 
 
 def fixture_pool() -> list[Game]:

@@ -1,24 +1,29 @@
-"""Winning-region computation and strategy extraction.
+"""Winning regions, strategies and the largest simulation, by greatest fixpoint.
 
 Alfred survives at a position when some move of his keeps every possible
-counter inside the surviving positions -- the largest such set is his winning
-region, computed by peeling losing positions until nothing changes (at most
-one round per position).  Dominic's region is the mirror image: every move
-must admit some counter that stays inside.
+counter inside the surviving positions; his winning region is the largest
+such set.  Dominic's region is the mirror image: every move must admit some
+counter that stays inside.  ``max_simulation`` is the same kind of fixpoint
+on state pairs: the largest relation-shaped simulation between two games.
 
-A winning region is exactly the footprint of a simulation touching the unit
-game: an Alfred strategy is a simulation unit -> P, a Dominic strategy a
-simulation P -> unit, and the extracted strategies take the first surviving
-witness in canonical order, so reruns are reproducible.  ``max_simulation``
-generalises both: the largest relation-shaped simulation between two games,
-again by peeling.
+One worklist engine computes all three (the attractor algorithm): each
+candidate is checked once in canonical order, then again only when one of its
+successors is removed, found through a predecessor index built once per call.
+A region costs one check per state plus one per removed successor, each
+reading that state's rows: linear in the successor rows for bounded fan-out.
+``max_simulation`` re-checks, per removed pair, the pairs of its predecessors.
+
+A winning region is the footprint of a simulation touching the unit game: an
+Alfred strategy is a simulation unit -> P, a Dominic strategy one P -> unit.
+Every extracted witness is the first in canonical order, so reruns are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import Element, FiniteSet, pair, star
+from .elements import FiniteSet, pair, star
 from .fixtures import unit_game
 from .games import Game
 from .simulation import Simulation
@@ -32,36 +37,110 @@ class Region:
     states: FiniteSet
 
 
+def _index(p: Game):
+    """``p``'s tables by state position: the states in canonical order, per
+    state its moves as (move, counters, successor positions), and per state
+    the positions of its predecessors, each once."""
+    states = p.states.items
+    pos = {i: n for n, i in enumerate(states)}
+    rows, preds = [], [[] for _ in states]
+    for n, i in enumerate(states):
+        fiber = []
+        for a in p.moves[i]:
+            ds = p.counters[(i, a)].items
+            js = tuple([pos[p.next[(i, a, d)]] for d in ds])
+            for j in js:
+                if not preds[j] or preds[j][-1] != n:
+                    preds[j].append(n)
+            fiber.append((a, ds, js))
+        rows.append(fiber)
+    return states, rows, preds
+
+
+def _greatest_fixpoint(items, holds, dependents) -> set:
+    """The largest subset S of ``items`` with ``holds(k, S)`` for every k in S.
+
+    ``holds`` must be monotone in S, and ``dependents(k)`` must name every
+    item whose check reads k.  Items are checked in the given order; a
+    removal re-queues its live dependents, each at most once while pending.
+    """
+    alive, pending = set(items), set(items)
+    work = list(reversed(items))
+    while work:
+        k = work.pop()
+        pending.discard(k)
+        if holds(k, alive):
+            continue
+        alive.discard(k)
+        for j in dependents(k):
+            if j in alive and j not in pending:
+                pending.add(j)
+                work.append(j)
+    return alive
+
+
+# The witness searches, one per shape of the survival predicate; each yields
+# its witnesses in canonical order, and a position survives when one exists.
+
+
+def _safe_moves(fiber, inside):
+    """The moves of ``fiber`` all of whose counters land inside."""
+    return (m for m in fiber if inside.issuperset(m[2]))
+
+
+def _safe_counters(move, inside):
+    """The counters to ``move`` landing inside, with where they land."""
+    return ((d, j) for d, j in zip(move[1], move[2]) if j in inside)
+
+
+def _answers(fiber2, succ1, inside):
+    """The moves of ``fiber2`` each of whose counters pulls back: its position
+    j2 plus some j1 in ``succ1`` (p1-successors times |p2|) is a pair inside."""
+    for m in fiber2:
+        for j2 in m[2]:
+            for j1 in succ1:
+                if j1 + j2 in inside:
+                    break
+            else:
+                break
+        else:
+            yield m
+
+
+def _pullbacks(move1, j2, inside):
+    """The counters to ``move1`` landing, with ``j2``, on a pair inside."""
+    return ((d, j1) for d, j1 in zip(move1[1], move1[2]) if j1 + j2 in inside)
+
+
+def _exists(witnesses) -> bool:
+    return next(witnesses, None) is not None
+
+
+_SURVIVES = {
+    "alfred": lambda fiber, s: _exists(_safe_moves(fiber, s)),
+    "dominic": lambda fiber, s: all(_exists(_safe_counters(m, s)) for m in fiber),
+}
+
+
+def _region(p: Game, side: str):
+    """The region with the index it was computed on: (states, rows, alive
+    positions, region)."""
+    states, rows, preds = _index(p)
+    survives = _SURVIVES[side]
+    alive = _greatest_fixpoint(
+        range(len(states)), lambda n, s: survives(rows[n], s), preds.__getitem__
+    )
+    return states, rows, alive, Region(side, FiniteSet(states[n] for n in alive))
+
+
 def alfred_region(p: Game) -> Region:
     """Largest H with: every i in H has a move whose counters all stay in H."""
-    alive = set(p.states)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not any(
-                all(p.next_state(i, a, d) in alive for d in p.counters_at(i, a))
-                for a in p.moves_at(i)
-            ):
-                alive.discard(i)
-                changed = True
-    return Region("alfred", FiniteSet(alive))
+    return _region(p, "alfred")[3]
 
 
 def dominic_region(p: Game) -> Region:
     """Largest H with: every move from i in H has a counter staying in H."""
-    alive = set(p.states)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not all(
-                any(p.next_state(i, a, d) in alive for d in p.counters_at(i, a))
-                for a in p.moves_at(i)
-            ):
-                alive.discard(i)
-                changed = True
-    return Region("dominic", FiniteSet(alive))
+    return _region(p, "dominic")[3]
 
 
 def alfred_strategy(p: Game) -> Simulation:
@@ -71,121 +150,81 @@ def alfred_strategy(p: Game) -> Simulation:
     chosen move at each position is the first one, in canonical order, whose
     counters all stay inside the region.
     """
-    unit = unit_game()
-    region = alfred_region(p).states
-    s = star()
-    leg1 = {i: s for i in region}
-    leg2 = {i: i for i in region}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in region:
-        chosen = None
-        for a in p.moves_at(i):
-            if all(p.next_state(i, a, d) in region for d in p.counters_at(i, a)):
-                chosen = a
-                break
-        alpha[(i, s)] = chosen
-        for d2 in p.counters_at(i, chosen):
-            beta[(i, s, d2)] = s
-            gamma[(i, s, d2)] = p.next_state(i, chosen, d2)
-    return Simulation(unit, p, region, leg1, leg2, alpha, beta, gamma)
+    states, rows, alive, region = _region(p, "alfred")
+    s, alpha, beta, gamma = star(), {}, {}, {}
+    for n in alive:
+        i = states[n]
+        alpha[(i, s)], ds, js = next(_safe_moves(rows[n], alive))
+        for d, j in zip(ds, js):
+            beta[(i, s, d)], gamma[(i, s, d)] = s, states[j]
+    legs = {i: s for i in region.states}, {i: i for i in region.states}
+    return Simulation(unit_game(), p, region.states, *legs, alpha, beta, gamma)
 
 
 def dominic_strategy(p: Game) -> Simulation:
     """A simulation p -> unit surviving forever on the Dominic region."""
-    unit = unit_game()
-    region = dominic_region(p).states
-    s = star()
-    leg1 = {i: i for i in region}
-    leg2 = {i: s for i in region}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in region:
-        for a in p.moves_at(i):
-            alpha[(i, a)] = s
-            chosen = None
-            for d in p.counters_at(i, a):
-                if p.next_state(i, a, d) in region:
-                    chosen = d
-                    break
-            beta[(i, a, s)] = chosen
-            gamma[(i, a, s)] = p.next_state(i, a, chosen)
-    return Simulation(p, unit, region, leg1, leg2, alpha, beta, gamma)
+    states, rows, alive, region = _region(p, "dominic")
+    s, alpha, beta, gamma = star(), {}, {}, {}
+    for n in alive:
+        i = states[n]
+        for m in rows[n]:
+            alpha[(i, m[0])] = s
+            beta[(i, m[0], s)], j = next(_safe_counters(m, alive))
+            gamma[(i, m[0], s)] = states[j]
+    legs = {i: i for i in region.states}, {i: s for i in region.states}
+    return Simulation(p, unit_game(), region.states, *legs, alpha, beta, gamma)
 
 
 def sim_exists(p: Game, side: str) -> bool:
     """Whether the named player has anywhere to survive at all."""
-    if side == "alfred":
-        return len(alfred_region(p).states) > 0
-    if side == "dominic":
-        return len(dominic_region(p).states) > 0
-    raise ValueError(f"unknown side {side!r}")
+    if side not in _SURVIVES:
+        raise ValueError(f"unknown side {side!r}")
+    return len(_region(p, side)[2]) > 0
+
+
+def _relation_simulation(p1: Game, p2: Game, copies, pick, land) -> Simulation:
+    """A simulation p1 -> p2 over the largest relation, whose pairs (i1, i2)
+    sit at n1 * |p2| + n2.  ``copies(i1, i2)`` gives the apex points over each
+    pair, all pairs first and in canonical order; then, point by point,
+    ``pick`` chooses each answering move and pulled-back counter among its
+    witnesses, and ``land`` a point over the pair landed on."""
+    states1, rows1, preds1 = _index(p1)
+    states2, rows2, preds2 = _index(p2)
+    w = len(states2)
+    rows1 = [[(a, ds, tuple(j * w for j in js)) for a, ds, js in fiber] for fiber in rows1]
+
+    def holds(k, s):
+        fiber2 = rows2[k % w]
+        return all(_exists(_answers(fiber2, m1[2], s)) for m1 in rows1[k // w])
+
+    def dependents(k):
+        return [i1 * w + i2 for i1 in preds1[k // w] for i2 in preds2[k % w]]
+
+    rel = _greatest_fixpoint(range(len(states1) * w), holds, dependents)
+    over = {k: copies(states1[k // w], states2[k % w]) for k in sorted(rel)}
+    leg1, leg2, alpha, beta, gamma = {}, {}, {}, {}, {}
+    for k, points in over.items():
+        i1, i2, fiber1, fiber2 = states1[k // w], states2[k % w], rows1[k // w], rows2[k % w]
+        for r in points:
+            leg1[r], leg2[r] = i1, i2
+            for m1 in fiber1:
+                a1 = m1[0]
+                a2, ds2, js2 = pick(_answers(fiber2, m1[2], rel))
+                alpha[(r, a1)] = a2
+                for d2, j2 in zip(ds2, js2):
+                    d1, j1 = pick(_pullbacks(m1, j2, rel))
+                    beta[(r, a1, d2)] = d1
+                    gamma[(r, a1, d2)] = land(over[j1 + j2])
+    apex = FiniteSet(r for points in over.values() for r in points)
+    return Simulation(p1, p2, apex, leg1, leg2, alpha, beta, gamma)
 
 
 def max_simulation(p1: Game, p2: Game) -> Simulation:
     """The largest relation-shaped simulation p1 -> p2.
 
-    Peel pairs (i1, i2) until every survivor satisfies: for every p1-move
-    some p2-move answers, with every p2-counter pulled back to a p1-counter
-    landing the pair inside the relation.  Witnesses are first-in-canonical-
-    order; the apex is the relation itself (one point per surviving pair).
+    Witnesses are first-in-canonical-order; the apex is the relation itself
+    (one point per surviving pair).
     """
-    rel = {(i1, i2) for i1 in p1.states for i2 in p2.states}
-
-    def pair_ok(i1: Element, i2: Element) -> bool:
-        for a1 in p1.moves_at(i1):
-            if not any(
-                all(
-                    any(
-                        (p1.next_state(i1, a1, d1), p2.next_state(i2, a2, d2)) in rel
-                        for d1 in p1.counters_at(i1, a1)
-                    )
-                    for d2 in p2.counters_at(i2, a2)
-                )
-                for a2 in p2.moves_at(i2)
-            ):
-                return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(rel, key=lambda t: (t[0].key, t[1].key)):
-            if k in rel and not pair_ok(*k):
-                rel.discard(k)
-                changed = True
-
-    pts = {k: pair(k[0], k[1]) for k in sorted(rel, key=lambda t: (t[0].key, t[1].key))}
-    apex = FiniteSet(pts.values())
-    leg1 = {r: k[0] for k, r in pts.items()}
-    leg2 = {r: k[1] for k, r in pts.items()}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (i1, i2), r in pts.items():
-        for a1 in p1.moves_at(i1):
-            a2_found = None
-            for a2 in p2.moves_at(i2):
-                if all(
-                    any(
-                        (p1.next_state(i1, a1, d1), p2.next_state(i2, a2, d2)) in rel
-                        for d1 in p1.counters_at(i1, a1)
-                    )
-                    for d2 in p2.counters_at(i2, a2)
-                ):
-                    a2_found = a2
-                    break
-            alpha[(r, a1)] = a2_found
-            for d2 in p2.counters_at(i2, a2_found):
-                d1_found = None
-                for d1 in p1.counters_at(i1, a1):
-                    if (p1.next_state(i1, a1, d1), p2.next_state(i2, a2_found, d2)) in rel:
-                        d1_found = d1
-                        break
-                beta[(r, a1, d2)] = d1_found
-                gamma[(r, a1, d2)] = pts[
-                    (p1.next_state(i1, a1, d1_found), p2.next_state(i2, a2_found, d2))
-                ]
-    return Simulation(p1, p2, apex, leg1, leg2, alpha, beta, gamma)
+    return _relation_simulation(
+        p1, p2, lambda i1, i2: (pair(i1, i2),), next, lambda points: points[0]
+    )

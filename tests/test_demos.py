@@ -1,0 +1,33 @@
+"""The demos run to completion and print something.
+
+Each demo runs as its own process, the way the README tells a reader to run
+it, with ``src`` on ``PYTHONPATH``.  ``laws_by_the_batch.py`` is left out: it
+takes several seconds and only tabulates the same law suites that
+``test_law_suites.py`` already runs in process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["tour_of_games.py", "winning_regions.py", "replay_bound.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -1,6 +1,8 @@
 """Games as finite tables: validation, the extension functor, symmetric input."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.games import (
     FamilySet,
     StateSpan,
+    carrier_iso,
     extend,
     from_symmetric_game,
     make_game,
@@ -160,3 +163,103 @@ def test_fixture_shapes():
     (go,) = TRAP.moves_at(ok)
     assert len(TRAP.counters_at(ok, go)) == 2
     (go2,) = ONEWAY.moves_at([s for s in ONEWAY.states if s.key[1] == "ok"][0])
+
+
+# -- carrier isomorphism ------------------------------------------------------
+
+
+def iso_oracle(g1, g2):
+    """The first relabelling over all state and move permutations, written
+    plainly: moves match when their counters reach each relabelled successor
+    equally often."""
+    if len(g1.states) != len(g2.states):
+        return None
+
+    def tally(g, i, a, relabel):
+        out = {}
+        for d in g.counters_at(i, a):
+            t = relabel(g.next_state(i, a, d))
+            out[t] = out.get(t, 0) + 1
+        return out
+
+    for perm in itertools.permutations(g2.states.items):
+        state_map = dict(zip(g1.states.items, perm))
+        move_map = {}
+        for i in g1.states:
+            j = state_map[i]
+            a1s, a2s = g1.moves_at(i).items, g2.moves_at(j).items
+            found = next(
+                (
+                    p
+                    for p in itertools.permutations(a2s)
+                    if len(a1s) == len(a2s)
+                    and all(
+                        tally(g1, i, a1, state_map.get) == tally(g2, j, a2, lambda x: x)
+                        for a1, a2 in zip(a1s, p)
+                    )
+                ),
+                None,
+            )
+            if found is None:
+                break
+            move_map.update({(i, a1): a2 for a1, a2 in zip(a1s, found)})
+        else:
+            return state_map, move_map
+    return None
+
+
+def relabelled(g, rng):
+    """g with its states and, state by state, its moves renamed at random."""
+    names = [atom(f"t{n}") for n in range(len(g.states))]
+    rng.shuffle(names)
+    st = dict(zip(g.states, names))
+    moves, counters, nxt = {}, {}, {}
+    for i in g.states:
+        new = [atom(f"n{n}") for n in range(len(g.moves_at(i)))]
+        rng.shuffle(new)
+        mv = dict(zip(g.moves_at(i), new))
+        moves[st[i]] = new
+        for a in g.moves_at(i):
+            counters[(st[i], mv[a])] = g.counters_at(i, a)
+            for d in g.counters_at(i, a):
+                nxt[(st[i], mv[a], d)] = st[g.next_state(i, a, d)]
+    return make_game(names, moves, counters, nxt)
+
+
+def test_carrier_iso_matches_permutation_oracle(rng):
+    pool = []
+    for _ in range(40):
+        g = random_game(rng, 3, 3, 2)
+        pool += [(g, relabelled(g, rng)), (g, random_game(rng, 3, 3, 2))]
+    found = 0
+    for g1, g2 in pool:
+        got = carrier_iso(g1, g2)
+        assert got == iso_oracle(g1, g2)
+        found += got is not None
+    assert found >= 40  # every relabelled copy, at least
+
+
+def one_state_fan(sizes):
+    """One state with a move of ``n`` looping counters for each n in sizes."""
+    s = atom("s")
+    moves = [atom(f"m{k}") for k in range(len(sizes))]
+    counters = {(s, a): [atom(f"c{j}") for j in range(n)] for a, n in zip(moves, sizes)}
+    nxt = {(s, a, d): s for (_, a), ds in counters.items() for d in ds}
+    return make_game([s], {s: moves}, counters, nxt)
+
+
+def test_carrier_iso_wide_fibers_need_no_permutation_search():
+    # ten moves: the old search tried all 10! orders before answering "no"
+    g1 = one_state_fan([1] * 9 + [2])
+    g2 = one_state_fan([1] * 9 + [3])
+    start = time.perf_counter()
+    assert carrier_iso(g1, g2) is None
+    assert time.perf_counter() - start < 1.0
+    # the same fan in reverse order matches move k to move 9 - k's twin
+    g3 = one_state_fan([2] + [1] * 9)
+    state_map, move_map = carrier_iso(g1, g3)
+    s = atom("s")
+    assert state_map == {s: s}
+    assert move_map[(s, atom("m9"))] == atom("m0")
+    assert move_map[(s, atom("m0"))] == atom("m1")
+

@@ -1,8 +1,13 @@
 """Winning regions, non-losing strategies, and the largest simulation."""
 
+import hashlib
 import itertools
+import random
 
+from polygame.documents import dump_document
+from polygame.elements import atom
 from polygame.fixtures import COIN, EMPTY, ONEWAY, TRAP, UNIT, unit_game
+from polygame.games import make_game
 from polygame.laws import random_game, random_simulation
 from polygame.monoidal import dual
 from polygame.simulation import check_simulation
@@ -72,6 +77,48 @@ def relation_oracle(g1, g2):
         rel = keep
 
 
+def chain(rng, n, side):
+    """A chain that loses at its far end, with escapes only near its start.
+
+    State k moves on to k+1.  For Alfred, some states also have a risky move
+    (one counter forward, one further on) and the last state has no move; for
+    Dominic, every move has two forward counters and the last state's move
+    has none.  A few of the first states can leave for a safe loop, so the
+    losing end propagates back over almost the whole chain, one state at a
+    time.
+    """
+    st = [atom(f"k{k}") for k in range(n)]
+    safe = atom("safe")
+    go, alt, leave = atom("go"), atom("alt"), atom("leave")
+    d, e, out = atom("d"), atom("e"), atom("out")
+    moves, counters, nxt = {safe: [go]}, {(safe, go): [d]}, {(safe, go, d): safe}
+    exits = rng.sample(range(5), 2)
+    for k, s in enumerate(st):
+        if k == n - 1:
+            moves[s] = [] if side == "alfred" else [go]
+            counters.update({} if side == "alfred" else {(s, go): []})
+            continue
+        moves[s] = [go]
+        far = st[rng.randint(k + 1, n - 1)]
+        if side == "alfred":
+            counters[(s, go)] = [d]
+            nxt[(s, go, d)] = st[k + 1]
+            if rng.random() < 0.4:
+                moves[s].append(alt)
+                counters[(s, alt)] = [d, e]
+                nxt[(s, alt, d)], nxt[(s, alt, e)] = st[k + 1], far
+            if k in exits:
+                moves[s].append(leave)
+                counters[(s, leave)] = [d]
+                nxt[(s, leave, d)] = safe
+        else:
+            counters[(s, go)] = [d, e] + ([out] if k in exits else [])
+            nxt[(s, go, d)], nxt[(s, go, e)] = st[k + 1], far
+            if k in exits:
+                nxt[(s, go, out)] = safe
+    return make_game([*st, safe], moves, counters, nxt)
+
+
 def names(region):
     return sorted(e.key[1] for e in region.states)
 
@@ -88,6 +135,8 @@ def test_frozen_regions():
 
 def test_regions_match_plain_iteration(rng):
     pool = FIXTURE_GAMES + [random_game(rng) for _ in range(30)]
+    pool += [random_game(rng, 6, 3, 3) for _ in range(30)]
+    pool += [chain(rng, 60, side) for side in ("alfred", "dominic") for _ in range(3)]
     for g in pool:
         assert set(alfred_region(g).states) == region_oracle(g, "alfred")
         assert set(dominic_region(g).states) == region_oracle(g, "dominic")
@@ -146,6 +195,8 @@ def test_max_simulation_frozen_and_sound():
 def test_max_simulation_matches_relation_iteration(rng):
     pool = [(COIN, TRAP), (TRAP, ONEWAY), (UNIT, COIN)]
     pool += [(random_game(rng, 2, 2, 2), random_game(rng, 2, 2, 2)) for _ in range(15)]
+    pool += [(random_game(rng, 6, 3, 3), random_game(rng, 5, 3, 3)) for _ in range(10)]
+    pool += [(chain(rng, 60, "alfred"), chain(rng, 60, side)) for side in ("alfred", "dominic")]
     for g1, g2 in pool:
         best = max_simulation(g1, g2)
         assert check_simulation(best) == []
@@ -173,3 +224,35 @@ def test_duality_bridge_on_fixtures():
 def test_empty_game_synthesis_is_trivial():
     assert names(alfred_region(EMPTY)) == []
     assert len(max_simulation(EMPTY, COIN).apex) == 0
+
+
+def test_chains_lose_almost_everywhere(rng):
+    # the pools above only exercise long back-propagation if these hold
+    for side, region in (("alfred", alfred_region), ("dominic", dominic_region)):
+        g = chain(rng, 60, side)
+        assert 2 <= len(region(g).states) <= 6
+
+
+# digests of the documents the earlier whole-set peeling implementation
+# produced for these inputs: the same fixpoints, and in every table the first
+# witness in canonical order
+FROZEN = {
+    "alfred_strategy": "dd7f59039f8bee127db1a41370f60252ed12844c81cf8c02bc1fb3c6ca99d49c",
+    "dominic_strategy": "0b054675940938cde19c93f9cece8d14a375f02a1772109491fc5be609ca87f1",
+    "max_simulation": "b82d2bee8220e8be01913e044f839f8a7883717c93b4803d84d70979bcd69e33",
+}
+
+
+def test_synthesis_documents_frozen():
+    rng = random.Random(1209)
+    games = [random_game(rng, 6, 3, 3) for _ in range(24)]
+    runs = {
+        "alfred_strategy": [alfred_strategy(g) for g in games],
+        "dominic_strategy": [dominic_strategy(g) for g in games],
+        "max_simulation": [max_simulation(g1, g2) for g1, g2 in zip(games[::2], games[1::2])],
+    }
+    for name, sims in runs.items():
+        h = hashlib.sha256()
+        for s in sims:
+            h.update(dump_document("simulation", s).encode())
+        assert h.hexdigest() == FROZEN[name], name
