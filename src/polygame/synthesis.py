@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .elements import FiniteSet, pair, star
 from .fixtures import unit_game
-from .games import Game
+from .games import Game, validate_game
 from .simulation import Simulation
 
 
@@ -40,20 +40,25 @@ class Region:
 def _index(p: Game):
     """``p``'s tables by state position: the states in canonical order, per
     state its moves as (move, counters, successor positions), and per state
-    the positions of its predecessors, each once."""
+    the positions of its predecessors, each once.  A table read that misses
+    means ``p`` is invalid, and is refused with ``validate_game``'s
+    diagnostics."""
     states = p.states.items
     pos = {i: n for n, i in enumerate(states)}
     rows, preds = [], [[] for _ in states]
-    for n, i in enumerate(states):
-        fiber = []
-        for a in p.moves[i]:
-            ds = p.counters[(i, a)].items
-            js = tuple([pos[p.next[(i, a, d)]] for d in ds])
-            for j in js:
-                if not preds[j] or preds[j][-1] != n:
-                    preds[j].append(n)
-            fiber.append((a, ds, js))
-        rows.append(fiber)
+    try:
+        for n, i in enumerate(states):
+            fiber = []
+            for a in p.moves[i]:
+                ds = p.counters[(i, a)].items
+                js = tuple([pos[p.next[(i, a, d)]] for d in ds])
+                for j in js:
+                    if not preds[j] or preds[j][-1] != n:
+                        preds[j].append(n)
+                fiber.append((a, ds, js))
+            rows.append(fiber)
+    except KeyError:
+        raise ValueError("invalid game: " + "; ".join(validate_game(p))) from None
     return states, rows, preds
 
 

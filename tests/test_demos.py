@@ -1,9 +1,7 @@
 """The demos run to completion and print something.
 
 Each demo runs as its own process, the way the README tells a reader to run
-it, with ``src`` on ``PYTHONPATH``.  ``laws_by_the_batch.py`` is left out: it
-takes several seconds and only tabulates the same law suites that
-``test_law_suites.py`` already runs in process.
+it, with ``src`` on ``PYTHONPATH``.
 """
 
 import os
@@ -16,7 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["tour_of_games.py", "winning_regions.py", "replay_bound.py"])
+@pytest.mark.parametrize(
+    "demo", ["tour_of_games.py", "winning_regions.py", "replay_bound.py", "laws_by_the_batch.py"]
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,4 +1,8 @@
-"""The element grammar: ordering, canonical forms, function enumeration."""
+"""The element grammar: ordering, canonical forms, interning, function enumeration."""
+
+import itertools
+import sys
+import threading
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -75,10 +79,102 @@ def test_canonicalize_mset_order_insensitive(xs):
 
 @hypothesis.given(elements())
 def test_key_round_trips_to_same_element(e):
-    # the sort key doubles as identity: equal keys, equal elements
+    # the sort key agrees with identity: equal keys, one interned element
     assert (e.key == e.key) and (e == e)
     other = canonicalize(e)
     assert (other.key == e.key) == (other == e)
+
+
+def rebuild(e):
+    """``e`` built again from its parts, with fresh containers around them."""
+    k = e.kind
+    if k == "atom":
+        return atom("".join(list(e.name)))
+    if k == "star":
+        return star()
+    if k == "pair":
+        return pair(e.fst, e.snd)
+    if k == "tuple":
+        return tup(*list(e.items))
+    if k == "mset":
+        return mset(reversed(e.items))
+    return fun(dict(reversed(e.items)))
+
+
+@hypothesis.given(elements())
+def test_rebuilding_from_parts_returns_the_same_object(e):
+    assert rebuild(e) is e
+    assert canonicalize(e) is e
+    assert hash(rebuild(e)) == hash(e)
+
+
+def test_equality_key_and_identity_agree_over_the_pool():
+    pool = element_pool()
+    pool += [canonicalize(e) for e in pool]
+    for a, b in itertools.product(pool, repeat=2):
+        assert (a == b) == (a.key == b.key) == (a is b)
+        assert (a != b) == (a is not b)
+
+
+@hypothesis.given(strat.lists(elements(), max_size=8))
+def test_sorting_matches_the_key_order(xs):
+    got = sorted(xs)
+    want = sorted(xs, key=lambda e: e.key)
+    assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
+
+
+x, u, v = atom("x"), atom("u"), atom("v")
+
+
+# a bad argument fails as it did before elements were interned: the lookup
+# never turns it into an "unhashable type" error or a spurious hit
+@pytest.mark.parametrize(
+    "build, exc, message",
+    [
+        (lambda: pair([], x), TypeError, "expected an Element, got list"),
+        (lambda: pair(x, 3), TypeError, "expected an Element, got int"),
+        (lambda: tup(x, [1]), TypeError, "expected an Element, got list"),
+        (lambda: tup("x"), TypeError, "expected an Element, got str"),
+        (lambda: mset([x, 3]), AttributeError, "'int' object has no attribute 'key'"),
+        (lambda: mset([[]]), AttributeError, "'list' object has no attribute 'key'"),
+        (lambda: fun([(x, [])]), TypeError, "expected an Element, got list"),
+        (lambda: fun({x: 1}), TypeError, "expected an Element, got int"),
+        (lambda: fun([([], x)]), TypeError, "expected an Element, got list"),
+        (lambda: fun([(x, u), (x, v)]), ValueError, "duplicate key in function graph: x"),
+        (lambda: atom([]), ValueError, "atom name must be a nonempty string"),
+        (lambda: atom(""), ValueError, "atom name must be a nonempty string"),
+        (lambda: atom(3), ValueError, "atom name must be a nonempty string"),
+        (lambda: atom("star"), ValueError, 'atom name "star" is reserved for the unit point'),
+    ],
+)
+def test_bad_arguments_keep_their_errors(build, exc, message):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_concurrent_misses_share_one_element():
+    # threads racing to intern the same fresh terms must all get one object
+    names = [f"race{n}" for n in range(2000)]
+    got = [None] * 4
+
+    def build(slot):
+        got[slot] = [pair(atom(a), tup(atom(a), star())) for a in names]
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for built in got[1:]:
+        assert all(a is b for a, b in zip(got[0], built)) and len(built) == len(names)
 
 
 def test_fun_application_and_duplicate_keys():

@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from polygame.documents import dump_document
 from polygame.elements import atom
 from polygame.fixtures import COIN, EMPTY, ONEWAY, TRAP, UNIT, unit_game
-from polygame.games import make_game
+from polygame.games import make_game, validate_game
 from polygame.laws import random_game, random_simulation
 from polygame.monoidal import dual
 from polygame.simulation import check_simulation
@@ -256,3 +258,24 @@ def test_synthesis_documents_frozen():
         for s in sims:
             h.update(dump_document("simulation", s).encode())
         assert h.hexdigest() == FROZEN[name], name
+
+
+def _invalid_games():
+    ok, go, d = atom("ok"), atom("go"), atom("d")
+    stray = make_game([ok], {ok: [go]}, {(ok, go): [d]}, {(ok, go, d): atom("nowhere")})
+    no_fiber = make_game([ok], {ok: [go]}, {}, {})
+    return [(stray, "is not a state"), (no_fiber, "missing counter fiber")]
+
+
+@pytest.mark.parametrize("g, why", _invalid_games(), ids=["stray_successor", "no_counter_fiber"])
+@pytest.mark.parametrize(
+    "call",
+    [alfred_region, dominic_region, lambda g: max_simulation(g, COIN),
+     lambda g: max_simulation(COIN, g)],
+    ids=["alfred_region", "dominic_region", "max_simulation_src", "max_simulation_dst"],
+)
+def test_synthesis_refuses_invalid_games(g, why, call):
+    with pytest.raises(ValueError) as info:
+        call(g)
+    assert str(info.value) == "invalid game: " + "; ".join(validate_game(g))
+    assert why in str(info.value)
