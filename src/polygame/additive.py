@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .elements import FiniteSet, atom, pair
 from .games import Game
-from .simulation import Simulation, Span, add, compose, validate_span, zero_sim
+from .simulation import Simulation, Span, _relabel_sim, add, compose, validate_span, zero_sim
 
 _L = atom("L")
 _R = atom("R")
@@ -63,20 +63,13 @@ def bigoplus(games: Iterable[Game]) -> Game:
 def injection(p1: Game, p2: Game, side: int) -> Simulation:
     """The coprojection of one summand into the sum (side 1 or 2)."""
     tag, p = {1: (_L, p1), 2: (_R, p2)}[side]
-    dst = oplus(p1, p2)
-    apex = p.states
-    leg1 = {i: i for i in apex}
-    leg2 = {i: pair(tag, i) for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in p.moves_at(i):
-            alpha[(i, a)] = pair(tag, a)
-            for d in p.counters_at(i, a):
-                beta[(i, a, pair(tag, d))] = d
-                gamma[(i, a, pair(tag, d))] = p.next_state(i, a, d)
-    return Simulation(p, dst, apex, leg1, leg2, alpha, beta, gamma)
+    return _relabel_sim(
+        p,
+        oplus(p1, p2),
+        lambda i: pair(tag, i),
+        lambda i, a: pair(tag, a),
+        lambda i, a, e: e.snd,
+    )
 
 
 def projection(p1: Game, p2: Game, side: int) -> Simulation:

@@ -22,7 +22,7 @@ j at slot sigma(j); the *canonical* permutation matching word u to word v
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import comb, prod
 from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, mset, pair, star, tup
@@ -30,7 +30,7 @@ from .fixtures import unit_game
 from .games import Game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget, SizeRefused
 from .monoidal import tensor
-from .simulation import Simulation, Span
+from .simulation import Simulation, Span, _fibers, _pair_fibers, _relabel_sim
 
 
 # -- permutations --------------------------------------------------------------
@@ -209,21 +209,13 @@ def symmetry_sim(p: Game, k: int, sigma: tuple, max_enum: int = DEFAULT_MAX_ENUM
         raise ValueError(f"{sigma!r} is not a permutation of 0..{k - 1}")
     g = tensor_power(p, k, max_enum=max_enum)
     inv = perm_inverse(sigma)
-    apex = g.states
-    leg1 = {i: i for i in apex}
-    leg2 = {i: tup(*perm_apply(sigma, i.items)) for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in g.moves_at(i):
-            b = tup(*perm_apply(sigma, a.items))
-            alpha[(i, a)] = b
-            for e in g.counters_at(leg2[i], b):
-                d = tup(*perm_apply(inv, e.items))
-                beta[(i, a, e)] = d
-                gamma[(i, a, e)] = g.next_state(i, a, d)
-    return Simulation(g, g, apex, leg1, leg2, alpha, beta, gamma)
+    return _relabel_sim(
+        g,
+        g,
+        lambda i: tup(*perm_apply(sigma, i.items)),
+        lambda i, a: tup(*perm_apply(sigma, a.items)),
+        lambda i, a, e: tup(*perm_apply(inv, e.items)),
+    )
 
 
 def chat(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -327,6 +319,41 @@ def transport_square_is_pullback(
 # -- factoring through the power -------------------------------------------------
 
 
+def _reshuffle(sigma: tuple, leg: int):
+    """The map of (leg1, leg2) pairs that reshuffles the word on leg 1 or 2."""
+    if leg == 1:
+        return lambda k: (tup(*perm_apply(sigma, k[0].items)), k[1])
+    return lambda k: (k[0], tup(*perm_apply(sigma, k[1].items)))
+
+
+def _reshuffle_witnesses(x, k: int, leg: int) -> Optional[dict]:
+    """Per-permutation apex bijections of x (a span or a simulation) that
+    reshuffle the word on ``leg`` and keep the other leg; None if none exist."""
+    fibers = _fibers(x)
+    out = {}
+    for sigma in all_perms(k):
+        h = _pair_fibers(fibers, fibers, _reshuffle(sigma, leg))
+        if h is None:
+            return None
+        out[sigma] = h
+    return out
+
+
+def _check_witnesses(x, k: int, witnesses: dict, leg: int) -> None:
+    """Raise ValueError unless, for every permutation, ``witnesses`` holds an
+    apex bijection of x that reshuffles the word on ``leg`` and keeps the other leg."""
+    for sigma in all_perms(k):
+        if sigma not in witnesses:
+            raise ValueError(f"missing witness for permutation {sigma!r}")
+        h = witnesses[sigma]
+        if set(h.keys()) != set(x.apex) or set(h.values()) != set(x.apex):
+            raise ValueError(f"witness for {sigma!r} is not an apex bijection")
+        over = _reshuffle(sigma, leg)
+        for r, r2 in h.items():
+            if (x.leg1[r2], x.leg2[r2]) != over((x.leg1[r], x.leg2[r])):
+                raise ValueError(f"witness for {sigma!r} breaks the legs at {r.text()}")
+
+
 def find_symmetry_witnesses(s: Simulation, k: int) -> Optional[dict]:
     """Per-permutation apex bijections H with leg2 o H = sigma o leg2, leg1 o H = leg1.
 
@@ -335,39 +362,7 @@ def find_symmetry_witnesses(s: Simulation, k: int) -> Optional[dict]:
     in size.  The canonical witness pairs sorted fibers.  Returns None when
     some fiber counts disagree.
     """
-    fibers: dict[tuple, list] = {}
-    for r in s.apex:
-        fibers.setdefault((s.leg1[r], s.leg2[r]), []).append(r)
-    out = {}
-    for sigma in all_perms(k):
-        h = {}
-        ok = True
-        for (q, w), rs in fibers.items():
-            target = (q, tup(*perm_apply(sigma, w.items)))
-            qs = fibers.get(target, [])
-            if len(qs) != len(rs):
-                ok = False
-                break
-            for r, r2 in zip(rs, qs):
-                h[r] = r2
-        if not ok:
-            return None
-        out[sigma] = h
-    return out
-
-
-def _check_witnesses(s: Simulation, k: int, witnesses: dict) -> None:
-    for sigma in all_perms(k):
-        if sigma not in witnesses:
-            raise ValueError(f"missing witness for permutation {sigma!r}")
-        h = witnesses[sigma]
-        if set(h.keys()) != set(s.apex) or set(h.values()) != set(s.apex):
-            raise ValueError(f"witness for {sigma!r} is not an apex bijection")
-        for r, r2 in h.items():
-            if s.leg1[r2] != s.leg1[r]:
-                raise ValueError(f"witness for {sigma!r} moves leg1 at {r.text()}")
-            if s.leg2[r2] != tup(*perm_apply(sigma, s.leg2[r].items)):
-                raise ValueError(f"witness for {sigma!r} breaks leg2 at {r.text()}")
+    return _reshuffle_witnesses(s, k, 2)
 
 
 def factor_through_power(
@@ -391,7 +386,7 @@ def factor_through_power(
         if witnesses is None:
             raise ValueError("apex is not symmetric: no witnesses exist")
     else:
-        _check_witnesses(s, k, witnesses)
+        _check_witnesses(s, k, witnesses, 2)
 
     dst = power_game(p, k, max_enum=max_enum)
     pts = {}
@@ -456,30 +451,18 @@ def span_free_monoid_factor(
     ``phi`` relates words over ``base`` to some set J and coequalizes the
     reshuffles: for every permutation there is an apex bijection H with
     leg1 o H = sigma o leg1 and leg2 o H = leg2 (searched for when not
-    given).  Returns ``(psi, eps)``: the span from multisets to J obtained
-    by keeping the sorted-word part of the apex, and the explicit apex
-    bijection showing phi = psi after the orbit span.
+    given, checked when given).  Returns ``(psi, eps)``: the span from
+    multisets to J obtained by keeping the sorted-word part of the apex, and
+    the explicit apex bijection showing phi = psi after the orbit span.
     """
     if phi.src != all_words(base, k):
         raise ValueError("span_free_monoid_factor: source is not the words over base")
-    fibers: dict[tuple, list] = {}
-    for r in phi.apex:
-        fibers.setdefault((phi.leg1[r], phi.leg2[r]), []).append(r)
     if witnesses is None:
-        witnesses = {}
-        for sigma in all_perms(k):
-            h = {}
-            for (w, j), rs in fibers.items():
-                target = (tup(*perm_apply(sigma, w.items)), j)
-                qs = fibers.get(target, [])
-                if len(qs) != len(rs):
-                    raise ValueError(
-                        "span does not coequalize the reshuffles "
-                        f"(fiber mismatch at {w.text()} under {sigma!r})"
-                    )
-                for r, r2 in zip(rs, qs):
-                    h[r] = r2
-            witnesses[sigma] = h
+        witnesses = _reshuffle_witnesses(phi, k, 1)
+        if witnesses is None:
+            raise ValueError("span does not coequalize the reshuffles: no witnesses exist")
+    else:
+        _check_witnesses(phi, k, witnesses, 1)
 
     kept = [r for r in phi.apex if phi.leg1[r].items == tuple(sorted(phi.leg1[r].items))]
     psi = Span(
@@ -743,9 +726,10 @@ def bang_sim(u: Simulation, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Sim
     """
     src = bang(u.src, bound, max_enum=max_enum)
     dst = bang(u.dst, bound, max_enum=max_enum)
+    count = comb(len(u.apex) + bound, bound)  # multisets of size <= bound
+    if count > max_enum:
+        raise SizeRefused("bang_sim apex", count, max_enum)
     apexes = all_msets_upto(FiniteSet(u.apex), bound)
-    if len(apexes) > max_enum:
-        raise SizeRefused("bang_sim apex", len(apexes), max_enum)
     leg1 = {rho: mset(u.leg1[r] for r in rho.items) for rho in apexes}
     leg2 = {rho: mset(u.leg2[r] for r in rho.items) for rho in apexes}
     alpha = {}

@@ -23,7 +23,7 @@ import itertools
 from .elements import Element, FiniteSet, enumerate_functions, fun, pair, star
 from .games import Game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget
-from .simulation import Simulation, identity_sim
+from .simulation import Simulation, _relabel_sim, identity_sim
 from .fixtures import unit_game
 
 
@@ -90,30 +90,6 @@ def tensor_sim(s1: Simulation, s2: Simulation) -> Simulation:
 
 
 # -- structural isomorphisms --------------------------------------------------
-
-
-def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Simulation:
-    """A simulation whose apex is src's states, from bijective relabelling data.
-
-    ``state_map``: state of src -> state of dst; ``move_map``: (i, a) -> dst
-    move; ``counter_back``: (i, a, dst counter) -> src counter.  The caller
-    promises the successor tables commute.
-    """
-    apex = src.states
-    leg1 = {i: i for i in apex}
-    leg2 = {i: state_map(i) for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in src.moves_at(i):
-            b = move_map(i, a)
-            alpha[(i, a)] = b
-            for e in dst.counters_at(state_map(i), b):
-                d = counter_back(i, a, e)
-                beta[(i, a, e)] = d
-                gamma[(i, a, e)] = src.next_state(i, a, d)
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
 
 
 def structural_iso(kind: str, *games: Game) -> tuple[Simulation, Simulation]:

@@ -18,6 +18,14 @@ observable (composition counts matched pairs).  Morphism equality throughout
 the library is :func:`equivalent`, a fiber-respecting bijection search; in
 ``full`` mode the bijection must also transport alpha/beta/gamma on the nose,
 in ``span_only`` mode just the legs.
+
+The apex bookkeeping is written once here.  ``_fibers`` lists the apex over
+each pair of positions and ``_pair_fibers`` pairs fibers in order: span iso,
+embedding and equality, the leg check of :func:`equivalent`, and the
+reshuffle witnesses of the powers.  :func:`span_compose` is the one pullback,
+and :func:`compose` takes its apex.  ``_relabel_sim`` builds every simulation
+whose apex is its source's states: identities, injections, reshuffles and the
+tensor's coherence isomorphisms.
 """
 
 from __future__ import annotations
@@ -119,39 +127,47 @@ def check_simulation(s: Simulation) -> list[str]:
 
 def identity_sim(g: Game) -> Simulation:
     """The identity: apex = states, both legs the identity, transports copy."""
-    leg = {i: i for i in g.states}
+    return _relabel_sim(g, g, lambda i: i, lambda i, a: a, lambda i, a, e: e)
+
+
+def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Simulation:
+    """A simulation whose apex is src's states, from bijective relabelling data.
+
+    ``state_map``: state of src -> state of dst; ``move_map``: (i, a) -> dst
+    move; ``counter_back``: (i, a, dst counter) -> src counter.  The caller
+    promises the successor tables commute.
+    """
+    apex = src.states
+    leg1 = {i: i for i in apex}
+    leg2 = {i: state_map(i) for i in apex}
     alpha = {}
     beta = {}
     gamma = {}
-    for i in g.states:
-        for a in g.moves_at(i):
-            alpha[(i, a)] = a
-            for d in g.counters_at(i, a):
-                beta[(i, a, d)] = d
-                gamma[(i, a, d)] = g.next_state(i, a, d)
-    return Simulation(g, g, g.states, leg, dict(leg), alpha, beta, gamma)
+    for i in apex:
+        for a in src.moves_at(i):
+            b = move_map(i, a)
+            alpha[(i, a)] = b
+            for e in dst.counters_at(leg2[i], b):
+                d = counter_back(i, a, e)
+                beta[(i, a, e)] = d
+                gamma[(i, a, e)] = src.next_state(i, a, d)
+    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
 
 
 def compose(s: Simulation, t: Simulation) -> Simulation:
     """Diagrammatic composite: first s, then t (requires s.dst == t.src).
 
-    The apex is the pullback -- every pair of witness points that agree on
-    the middle game -- and the transports thread one through the other.
+    The apex is the pullback of the two spans (:func:`span_compose`), and the
+    transports thread one through the other.
     """
     if s.dst != t.src:
         raise ValueError("compose: s.dst and t.src are different games")
-    apex_pairs = [
-        (r, q) for r in s.apex.items for q in t.apex.items if s.leg2[r] == t.leg1[q]
-    ]
-    points = {rq: pair(rq[0], rq[1]) for rq in apex_pairs}
-    apex = FiniteSet(points.values())
-    leg1 = {points[(r, q)]: s.leg1[r] for (r, q) in apex_pairs}
-    leg2 = {points[(r, q)]: t.leg2[q] for (r, q) in apex_pairs}
+    span = span_compose(underlying_span(s), underlying_span(t))
     alpha = {}
     beta = {}
     gamma = {}
-    for (r, q) in apex_pairs:
-        p = points[(r, q)]
+    for p in span.apex:
+        r, q = p.fst, p.snd
         for a1 in s.src.moves_at(s.leg1[r]):
             a2 = s.alpha[(r, a1)]
             a3 = t.alpha[(q, a2)]
@@ -160,7 +176,7 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
                 d2 = t.beta[(q, a2, d3)]
                 beta[(p, a1, d3)] = s.beta[(r, a1, d2)]
                 gamma[(p, a1, d3)] = pair(s.gamma[(r, a1, d2)], t.gamma[(q, a2, d3)])
-    return Simulation(s.src, t.dst, apex, leg1, leg2, alpha, beta, gamma)
+    return Simulation(s.src, t.dst, span.apex, span.leg1, span.leg2, alpha, beta, gamma)
 
 
 def zero_sim(src: Game, dst: Game) -> Simulation:
@@ -244,25 +260,12 @@ def equivalent(
     if n > search_bound:
         raise SearchRefused("equivalent", n, search_bound)
 
-    fibers_s: dict[tuple[Element, Element], list[Element]] = {}
-    for r in s.apex:
-        fibers_s.setdefault((s.leg1[r], s.leg2[r]), []).append(r)
-    fibers_t: dict[tuple[Element, Element], list[Element]] = {}
-    for q in t.apex:
-        fibers_t.setdefault((t.leg1[q], t.leg2[q]), []).append(q)
-    if set(fibers_s.keys()) != set(fibers_t.keys()):
+    legs = span_iso(underlying_span(s), underlying_span(t))
+    if legs is None:
         return None
-    for k in fibers_s:
-        if len(fibers_s[k]) != len(fibers_t[k]):
-            return None
-
     if mode == "span_only":
         # any fiber-respecting pairing is a witness; take the canonical one
-        sigma = {}
-        for k, rs in fibers_s.items():
-            for r, q in zip(rs, fibers_t[k]):
-                sigma[r] = q
-        return SpanIso(mapping=sigma)
+        return SpanIso(mapping=legs)
 
     ids_s, ids_t = _refine_classes(s, t)
     if ids_s is None:
@@ -433,47 +436,54 @@ def span_compose(s: Span, t: Span) -> Span:
     """Pullback composite of spans (matched pairs, multiplicities kept)."""
     if s.dst != t.src:
         raise ValueError("span_compose: middle bases differ")
-    pairs = [(r, q) for r in s.apex.items for q in t.apex.items if s.leg2[r] == t.leg1[q]]
-    points = {rq: pair(rq[0], rq[1]) for rq in pairs}
-    return Span(
-        s.src,
-        t.dst,
-        FiniteSet(points.values()),
-        {points[rq]: s.leg1[rq[0]] for rq in pairs},
-        {points[rq]: t.leg2[rq[1]] for rq in pairs},
-    )
-
-
-def _span_tally(s: Span) -> dict[tuple[Element, Element], int]:
-    tally: dict[tuple[Element, Element], int] = {}
+    over: dict[Element, list[Element]] = {}
+    for q in t.apex:
+        over.setdefault(t.leg1[q], []).append(q)
+    leg1 = {}
+    leg2 = {}
     for r in s.apex:
-        k = (s.leg1[r], s.leg2[r])
-        tally[k] = tally.get(k, 0) + 1
-    return tally
+        for q in over.get(s.leg2[r], ()):
+            p = pair(r, q)
+            leg1[p] = s.leg1[r]
+            leg2[p] = t.leg2[q]
+    return Span(s.src, t.dst, FiniteSet(leg1), leg1, leg2)
+
+
+def _fibers(x) -> dict[tuple[Element, Element], list[Element]]:
+    """The apex points of a span or simulation over each (leg1, leg2) pair, in apex order."""
+    fibers: dict[tuple[Element, Element], list[Element]] = {}
+    for r in x.apex:
+        fibers.setdefault((x.leg1[r], x.leg2[r]), []).append(r)
+    return fibers
+
+
+def _pair_fibers(fibers, target, over=None) -> Optional[dict[Element, Element]]:
+    """Pair each fiber with a fiber of ``target``, point by point in apex order.
+
+    The points over a pair k go, first to first, to the points of
+    ``target[over(k)]`` (``target[k]`` without ``over``, which must be
+    injective).  The result is injective; it is None when some target fiber
+    is too small.  Over apexes of equal size it is a bijection.
+    """
+    out: dict[Element, Element] = {}
+    for k, rs in fibers.items():
+        qs = target.get(k if over is None else over(k), ())
+        if len(qs) < len(rs):
+            return None
+        out.update(zip(rs, qs))
+    return out
 
 
 def span_equal(s: Span, t: Span) -> bool:
     """Equality as spans-up-to-iso: same bases, same multiplicity over each pair."""
-    if s.src != t.src or s.dst != t.dst:
-        return False
-    return _span_tally(s) == _span_tally(t)
+    return span_iso(s, t) is not None
 
 
 def span_iso(s: Span, t: Span) -> Optional[Mapping[Element, Element]]:
     """A concrete leg-preserving bijection, if one exists."""
-    if not span_equal(s, t):
+    if s.src != t.src or s.dst != t.dst or len(s.apex) != len(t.apex):
         return None
-    fibers_t: dict[tuple[Element, Element], list[Element]] = {}
-    for q in t.apex:
-        fibers_t.setdefault((t.leg1[q], t.leg2[q]), []).append(q)
-    used: dict[tuple[Element, Element], int] = {}
-    out = {}
-    for r in s.apex:
-        k = (s.leg1[r], s.leg2[r])
-        n = used.get(k, 0)
-        out[r] = fibers_t[k][n]
-        used[k] = n + 1
-    return out
+    return _pair_fibers(_fibers(s), _fibers(t))
 
 
 def span_embedding(s: Span, t: Span) -> Optional[Mapping[Element, Element]]:
@@ -485,19 +495,4 @@ def span_embedding(s: Span, t: Span) -> Optional[Mapping[Element, Element]]:
     """
     if s.src != t.src or s.dst != t.dst:
         return None
-    tally_t = _span_tally(t)
-    tally_s = _span_tally(s)
-    for k, n in tally_s.items():
-        if tally_t.get(k, 0) < n:
-            return None
-    fibers_t: dict[tuple[Element, Element], list[Element]] = {}
-    for q in t.apex:
-        fibers_t.setdefault((t.leg1[q], t.leg2[q]), []).append(q)
-    used: dict[tuple[Element, Element], int] = {}
-    out = {}
-    for r in s.apex:
-        k = (s.leg1[r], s.leg2[r])
-        n = used.get(k, 0)
-        out[r] = fibers_t[k][n]
-        used[k] = n + 1
-    return out
+    return _pair_fibers(_fibers(s), _fibers(t))

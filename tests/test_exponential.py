@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from polygame import exponential
 from polygame.elements import FiniteSet, atom
 from polygame.exponential import (
     all_msets,
@@ -38,6 +39,7 @@ from polygame.laws import random_simulation, symmetrize_over_power, symmetrize_s
 from polygame.limits import SizeRefused
 from polygame.monoidal import tensor
 from polygame.simulation import (
+    add,
     check_simulation,
     compose,
     identity_sim,
@@ -144,6 +146,22 @@ def test_span_level_factoring_and_epsilon(rng):
         assert set(eps) == set(phi.apex)
 
 
+def test_span_factoring_checks_supplied_witnesses():
+    base = FiniteSet([atom("u"), atom("v")])
+    # seed 2 draws the mixed words [u, v] and [v, u]; where every word is a
+    # palindrome (seed 1) the identities are genuine witnesses
+    phi, wits = symmetrize_span(random.Random(2), base, 2)
+    span_free_monoid_factor(phi, base, 2, wits)
+    identities = {sigma: {r: r for r in phi.apex} for sigma in all_perms(2)}
+    with pytest.raises(ValueError, match="breaks the legs"):
+        span_free_monoid_factor(phi, base, 2, identities)
+    with pytest.raises(ValueError, match="missing witness"):
+        span_free_monoid_factor(phi, base, 2, {(1, 0): wits[(1, 0)]})
+    half = {sigma: dict(list(h.items())[:1]) for sigma, h in wits.items()}
+    with pytest.raises(ValueError, match="not an apex bijection"):
+        span_free_monoid_factor(phi, base, 2, half)
+
+
 def test_span_factoring_is_unique_up_to_iso():
     # the multiplicity of each (multiset, j) pair in any factoring is forced,
     # so two factorings can only differ by renaming apex points
@@ -235,6 +253,19 @@ def test_bang_sim_preserves_identities_and_validity(rng):
         u = random_simulation(rng, COIN, TRAP)
         bu = bang_sim(u, 2)
         assert check_simulation(bu) == []
+
+
+def test_bang_sim_refuses_before_enumerating(monkeypatch):
+    def unreachable(base, bound):
+        raise AssertionError("bang_sim enumerated an apex it refuses")
+
+    monkeypatch.setattr(exponential, "all_msets_upto", unreachable)
+    u = identity_sim(UNIT)
+    for _ in range(3):
+        u = add(u, u)  # 8 parallel witnesses, so 165 multisets of at most 3
+    with pytest.raises(SizeRefused) as refused:
+        bang_sim(u, 3, max_enum=100)
+    assert (refused.value.what, refused.value.count) == ("bang_sim apex", 165)
 
 
 def test_enumeration_budget_is_cumulative():

@@ -1,23 +1,29 @@
 """Simulation diagrams: the checker, composition, enrichment, equivalence."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from polygame.elements import atom
+from polygame.additive import adjoint_transpose
+from polygame.elements import FiniteSet, atom, pair
 from polygame.fixtures import COIN, ONEWAY, TRAP, UNIT
 from polygame.laws import random_simulation
 from polygame.limits import SearchRefused
 from polygame.simulation import (
     Simulation,
+    Span,
     add,
     check_simulation,
     compose,
     equivalent,
     identity_sim,
     span_compose,
+    span_embedding,
     span_equal,
     span_identity,
+    span_iso,
     underlying_span,
     zero_sim,
 )
@@ -213,3 +219,104 @@ def test_equivalent_returns_an_iso_that_matches_legs(rng):
     for r, q in iso.mapping.items():
         assert s.leg1[r] == s.leg1[q]
         assert s.leg2[r] == s.leg2[q]
+
+
+# -- fiber matching against a brute-force oracle --------------------------------
+
+_BASE = FiniteSet([atom("x"), atom("y")])
+
+
+def _leg_preserving_maps(s, t):
+    """Every injection of s's apex into t's that keeps both legs, by brute force."""
+    points = list(s.apex)
+    for image in itertools.permutations(list(t.apex), len(points)):
+        if all(
+            s.leg1[r] == t.leg1[q] and s.leg2[r] == t.leg2[q]
+            for r, q in zip(points, image)
+        ):
+            yield dict(zip(points, image))
+
+
+def _is_leg_preserving(mapping, s, t, onto):
+    if set(mapping) != set(s.apex) or not set(mapping.values()) <= set(t.apex):
+        return False
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    if onto and set(mapping.values()) != set(t.apex):
+        return False
+    return all(
+        s.leg1[r] == t.leg1[q] and s.leg2[r] == t.leg2[q] for r, q in mapping.items()
+    )
+
+
+def _random_span(rng, dst, size, name):
+    apex = [atom(f"{name}{n}") for n in range(size)]
+    return Span(
+        _BASE,
+        dst,
+        FiniteSet(apex),
+        {r: rng.choice(_BASE.items) for r in apex},
+        {r: rng.choice(dst.items) for r in apex},
+    )
+
+
+def _span_pairs(rng, n):
+    """Pairs of small spans, many with repeated (leg1, leg2) pairs: relabelled
+    copies, copies with one leg moved or one point dropped, and strangers."""
+    dst = COIN.states
+    for _ in range(n):
+        s = _random_span(rng, dst, rng.randint(0, 5), "p")
+        kind = rng.randrange(4)
+        if kind == 3:
+            yield s, _random_span(rng, dst, rng.randint(0, 5), "q")
+            continue
+        points = list(s.apex)
+        rng.shuffle(points)
+        if kind == 2 and points:
+            points.pop()
+        names = {r: atom(f"q{n}") for n, r in enumerate(points)}
+        leg1 = {names[r]: s.leg1[r] for r in points}
+        leg2 = {names[r]: s.leg2[r] for r in points}
+        if kind == 1 and points:
+            leg1[names[points[0]]] = rng.choice(_BASE.items)
+        yield s, Span(_BASE, dst, FiniteSet(names.values()), leg1, leg2)
+
+
+def test_fiber_matching_agrees_with_brute_force():
+    rng = random.Random(4)
+    seen = Counter()
+    for s, t in _span_pairs(rng, 400):
+        injections = list(_leg_preserving_maps(s, t))
+        bijective = len(s.apex) == len(t.apex) and bool(injections)
+        seen[(bool(injections), bijective)] += 1
+        seen["repeated legs"] += len({(s.leg1[r], s.leg2[r]) for r in s.apex}) < len(s.apex)
+
+        emb = span_embedding(s, t)
+        assert (emb is not None) == bool(injections)
+        assert emb is None or _is_leg_preserving(emb, s, t, onto=False)
+
+        iso = span_iso(s, t)
+        assert (iso is not None) == bijective
+        assert iso is None or _is_leg_preserving(iso, s, t, onto=True)
+        assert span_equal(s, t) == bijective
+
+        sim_s = adjoint_transpose("left", "to_sim", s, _BASE, COIN)
+        sim_t = adjoint_transpose("left", "to_sim", t, _BASE, COIN)
+        found = equivalent(sim_s, sim_t, "span_only")
+        assert (found is not None) == bijective
+        assert found is None or _is_leg_preserving(found.mapping, s, t, onto=True)
+    assert min(seen.values()) > 20, seen  # every outcome, and repeated legs, occur
+
+
+def test_compose_apex_is_the_matched_pairs(rng):
+    for _ in range(60):
+        g1, g2, g3 = (rng.choice(FIXTURE_GAMES) for _ in range(3))
+        s = random_simulation(rng, g1, g2, dup_chance=0.5)
+        t = random_simulation(rng, g2, g3, dup_chance=0.5)
+        matched = [(r, q) for r in s.apex for q in t.apex if s.leg2[r] == t.leg1[q]]
+        c = compose(s, t)
+        assert len(c.apex) == len(matched)
+        assert set(c.apex) == {pair(r, q) for r, q in matched}
+        for r, q in matched:
+            assert c.leg1[pair(r, q)] == s.leg1[r]
+            assert c.leg2[pair(r, q)] == t.leg2[q]
