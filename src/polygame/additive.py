@@ -19,7 +19,9 @@ from typing import Iterable
 
 from .elements import FiniteSet, atom, pair
 from .games import Game
-from .simulation import Simulation, Span, _relabel_sim, add, compose, validate_span, zero_sim
+from .simulation import (
+    Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span, zero_sim
+)
 
 _L = atom("L")
 _R = atom("R")
@@ -75,49 +77,45 @@ def injection(p1: Game, p2: Game, side: int) -> Simulation:
 def projection(p1: Game, p2: Game, side: int) -> Simulation:
     """The projection of the sum onto one summand (side 1 or 2)."""
     tag, p = {1: (_L, p1), 2: (_R, p2)}[side]
-    src = oplus(p1, p2)
-    apex = p.states
-    leg1 = {i: pair(tag, i) for i in apex}
-    leg2 = {i: i for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in p.moves_at(i):
-            alpha[(i, pair(tag, a))] = a
-            for d in p.counters_at(i, a):
-                beta[(i, pair(tag, a), d)] = pair(tag, d)
-                gamma[(i, pair(tag, a), d)] = p.next_state(i, a, d)
-    return Simulation(src, p, apex, leg1, leg2, alpha, beta, gamma)
+
+    def back(i, ta, _, d):
+        return pair(tag, d), p.next[(i, ta.snd, d)]
+
+    return _transport_sim(
+        oplus(p1, p2),
+        p,
+        p.states,
+        {i: pair(tag, i) for i in p.states},
+        {i: i for i in p.states},
+        lambda i, ta: (ta.snd, None),
+        back,
+    )
 
 
 def copair(s1: Simulation, s2: Simulation) -> Simulation:
     """[s1, s2]: P1 (+) P2 -> Q from s1: P1 -> Q and s2: P2 -> Q."""
     if s1.dst != s2.dst:
         raise ValueError("copair: simulations do not share a target")
-    src = oplus(s1.src, s2.src)
-    apex_pts = {}
-    for tag, s in ((_L, s1), (_R, s2)):
-        for r in s.apex:
-            apex_pts[(tag, r)] = pair(tag, r)
-    apex = FiniteSet(apex_pts.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for tag, s in ((_L, s1), (_R, s2)):
-        for r in s.apex:
-            tr = apex_pts[(tag, r)]
-            leg1[tr] = pair(tag, s.leg1[r])
-            leg2[tr] = s.leg2[r]
-            for a1 in s.src.moves_at(s.leg1[r]):
-                a2 = s.alpha[(r, a1)]
-                alpha[(tr, pair(tag, a1))] = a2
-                for d2 in s.dst.counters_at(s.leg2[r], a2):
-                    beta[(tr, pair(tag, a1), d2)] = pair(tag, s.beta[(r, a1, d2)])
-                    gamma[(tr, pair(tag, a1), d2)] = apex_pts[(tag, s.gamma[(r, a1, d2)])]
-    return Simulation(src, s1.dst, apex, leg1, leg2, alpha, beta, gamma)
+    of = {_L: s1, _R: s2}
+    apex = FiniteSet(pair(tag, r) for tag, s in of.items() for r in s.apex)
+
+    def move(tr, ta1):
+        s = of[tr.fst]
+        return s.alpha[(tr.snd, ta1.snd)], s
+
+    def back(tr, ta1, s, d2):
+        k = (tr.snd, ta1.snd, d2)
+        return pair(tr.fst, s.beta[k]), pair(tr.fst, s.gamma[k])
+
+    return _transport_sim(
+        oplus(s1.src, s2.src),
+        s1.dst,
+        apex,
+        {tr: pair(tr.fst, of[tr.fst].leg1[tr.snd]) for tr in apex},
+        {tr: of[tr.fst].leg2[tr.snd] for tr in apex},
+        move,
+        back,
+    )
 
 
 def pairing(t1: Simulation, t2: Simulation) -> Simulation:
@@ -174,12 +172,16 @@ def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: G
         return Simulation(
             src, game, sp.apex, dict(sp.leg1), dict(sp.leg2), {}, {}, {}
         )
-    dst = cofree_game(base)
-    alpha = {}
-    for r in sp.apex:
-        for a1 in game.moves_at(sp.leg1[r]):
-            alpha[(r, a1)] = sp.leg2[r]
-    return Simulation(game, dst, sp.apex, dict(sp.leg1), dict(sp.leg2), alpha, {}, {})
+    # every move is answered by the committed move at leg2, which has no counters
+    return _transport_sim(
+        game,
+        cofree_game(base),
+        sp.apex,
+        dict(sp.leg1),
+        dict(sp.leg2),
+        lambda r, a1: (sp.leg2[r], None),
+        None,
+    )
 
 
 __all__ = [

@@ -22,6 +22,7 @@ j at slot sigma(j); the *canonical* permutation matching word u to word v
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb, prod
 from typing import Mapping, Optional
 
@@ -30,7 +31,9 @@ from .fixtures import unit_game
 from .games import Game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget, SizeRefused
 from .monoidal import tensor
-from .simulation import Simulation, Span, _fibers, _pair_fibers, _relabel_sim
+from .simulation import (
+    Simulation, Span, _fibers, _pair_fibers, _relabel_sim, _transport_sim
+)
 
 
 # -- permutations --------------------------------------------------------------
@@ -107,13 +110,6 @@ def all_msets_upto(base: FiniteSet, bound: int) -> FiniteSet:
     return FiniteSet(out)
 
 
-def _counts(m: Element) -> dict[Element, int]:
-    out: dict[Element, int] = {}
-    for x in m.items:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def _distinct_arrangements(m: Element) -> list[tuple]:
     return sorted(set(itertools.permutations(m.items)))
 
@@ -162,12 +158,18 @@ def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    budget = EnumBudget("power", max_enum)
-    states = all_msets(p.states, k)
-    budget.charge(len(states))
     moves = {}
     counters = {}
     nxt = {}
+    states = _power_rows(p, k, EnumBudget("power", max_enum), moves, counters, nxt)
+    return Game(states, moves, counters, nxt)
+
+
+def _power_rows(p: Game, k: int, budget: EnumBudget, moves, counters, nxt) -> FiniteSet:
+    """Write the rows of the k-th power into the given tables and return its
+    states, charging each fiber to ``budget`` before it is built."""
+    states = all_msets(p.states, k)
+    budget.charge(len(states))
     for m in states:
         arrangements = _distinct_arrangements(m)
         per_arr = prod(len(p.moves_at(u)) for u in m.items)
@@ -189,7 +191,7 @@ def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
                     )
                 counters[(m, w)] = FiniteSet(ds)
         moves[m] = FiniteSet(ms)
-    return Game(states, moves, counters, nxt)
+    return states
 
 
 def _word_states(word: Element) -> tuple:
@@ -228,27 +230,20 @@ def chat(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
     """
     src = power_game(p, k, max_enum=max_enum)
     dst = tensor_power(p, k, max_enum=max_enum)
+
+    def move(i, a):
+        sigma = canonical_match(_word_states(a), i.items)
+        raw = tup(*perm_apply(sigma, _word_moves(a)))
+        return raw, (sigma, raw)
+
+    def back(i, a, ctx, e):
+        sigma, raw = ctx
+        return tup(*(e.items[t] for t in sigma)), dst.next[(i, raw, e)]
+
     apex = dst.states
-    leg1 = {i: orbit(i) for i in apex}
-    leg2 = {i: i for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in src.moves_at(leg1[i]):
-            us = _word_states(a)
-            sigma = canonical_match(us, i.items)
-            raw = tup(*perm_apply(sigma, _word_moves(a)))
-            alpha[(i, a)] = raw
-            for e in dst.counters_at(i, raw):
-                beta[(i, a, e)] = tup(*(e.items[sigma[j]] for j in range(k)))
-                gamma[(i, a, e)] = tup(
-                    *(
-                        p.next_state(i.items[t], raw.items[t], e.items[t])
-                        for t in range(k)
-                    )
-                )
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    return _transport_sim(
+        src, dst, apex, {i: orbit(i) for i in apex}, {i: i for i in apex}, move, back
+    )
 
 
 # -- transporting permutation actions -------------------------------------------
@@ -291,28 +286,27 @@ def transport_square_is_pullback(
     h: Mapping[Element, Element], g: Mapping[Element, Element], k: int, rho: Mapping[Element, Element]
 ) -> bool:
     """Check commutation, content preservation, and the pullback property."""
-    v_set = FiniteSet(g.keys())
+    words = all_words(FiniteSet(g.keys()), k)
 
     def g_word(vw: Element) -> Element:
         return tup(*(g[v] for v in vw.items))
 
-    for vw in all_words(v_set, k):
+    for vw in words:
         if orbit(rho[vw]) != orbit(vw):
             return False
         if g_word(rho[vw]) != h[g_word(vw)]:
             return False
     # the canonical map into the pullback must be a bijection
     image = {}
-    for vw in all_words(v_set, k):
+    for vw in words:
         key = (rho[vw], g_word(vw))
         if key in image:
             return False
         image[key] = vw
-    want = set()
-    for vw2 in all_words(v_set, k):
-        for uw in h.keys():
-            if g_word(vw2) == h[uw]:
-                want.add((vw2, uw))
+    over: dict[Element, list[Element]] = {}
+    for uw, huw in h.items():
+        over.setdefault(huw, []).append(uw)
+    want = {(vw2, uw) for vw2 in words for uw in over.get(g_word(vw2), ())}
     return set(image.keys()) == want
 
 
@@ -395,25 +389,26 @@ def factor_through_power(
         if w.items == tuple(sorted(w.items)):
             pts[r] = pair(orbit(w), r)
     apex = FiniteSet(pts.values())
-    leg1 = {pts[r]: s.leg1[r] for r in pts}
-    leg2 = {pts[r]: orbit(s.leg2[r]) for r in pts}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for r in pts:
-        pt = pts[r]
-        i_items = s.leg2[r].items
-        for b1 in s.src.moves_at(s.leg1[r]):
-            raw = s.alpha[(r, b1)]
-            word = tup(*(pair(u, a) for u, a in zip(i_items, raw.items)))
-            alpha[(pt, b1)] = word
-            for dbar in s.dst.counters_at(s.leg2[r], raw):
-                beta[(pt, b1, dbar)] = s.beta[(r, b1, dbar)]
-                r2 = s.gamma[(r, b1, dbar)]
-                w2 = s.leg2[r2].items
-                sigma = canonical_match(w2, tuple(sorted(w2)))
-                gamma[(pt, b1, dbar)] = pts[witnesses[sigma][r2]]
-    return Simulation(s.src, dst, apex, leg1, leg2, alpha, beta, gamma)
+
+    def move(pt, b1):
+        raw = s.alpha[(pt.snd, b1)]
+        return tup(*(pair(u, a) for u, a in zip(s.leg2[pt.snd].items, raw.items))), None
+
+    def back(pt, b1, _, dbar):
+        key = (pt.snd, b1, dbar)
+        r2 = s.gamma[key]
+        w2 = s.leg2[r2].items
+        return s.beta[key], pts[witnesses[canonical_match(w2, tuple(sorted(w2)))][r2]]
+
+    return _transport_sim(
+        s.src,
+        dst,
+        apex,
+        {pt: s.leg1[pt.snd] for pt in apex},
+        {pt: pt.fst for pt in apex},
+        move,
+        back,
+    )
 
 
 # -- span-level: arrangements versus contents ------------------------------------
@@ -484,19 +479,20 @@ def span_free_monoid_factor(
 
 
 def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
-    """Up to ``bound`` simultaneous replays: the powers 0..bound side by side."""
+    """Up to ``bound`` simultaneous replays: the powers 0..bound side by side.
+
+    All the powers are charged to one budget, so ``max_enum`` caps what the
+    whole game enumerates.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    budget = EnumBudget("bang", max_enum)
     states = []
     moves = {}
     counters = {}
     nxt = {}
     for k in range(bound + 1):
-        g = power_game(p, k, max_enum=max_enum)
-        states.extend(g.states)
-        moves.update(g.moves)
-        counters.update(g.counters)
-        nxt.update(g.next)
+        states.extend(_power_rows(p, k, budget, moves, counters, nxt))
     return Game(FiniteSet(states), moves, counters, nxt)
 
 
@@ -535,53 +531,46 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     were tagged.
     """
     src = bang(p, bound, max_enum=max_enum)
-    dst = tensor(src, src)
     tag1, tag2 = atom("1"), atom("2")
-    pts = {}
-    for m in src.states:
-        sec = section(m).items
-        for tags in itertools.product((1, 2), repeat=len(sec)):
-            pt = pair(m, tup(*(tag1 if v == 1 else tag2 for v in tags)))
-            pts[(m, tags)] = pt
-    apex = FiniteSet(pts.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (m, tags), r in pts.items():
-        sec = section(m).items
-        m1 = mset(sec[j] for j in range(len(sec)) if tags[j] == 1)
-        m2 = mset(sec[j] for j in range(len(sec)) if tags[j] == 2)
-        leg1[r] = m
-        leg2[r] = pair(m1, m2)
-        for a in src.moves_at(m):
-            match = canonical_match(_word_states(a), tuple(sec))
-            pos_tag = [tags[match[j]] for j in range(len(a.items))]
-            pos1 = [j for j, v in enumerate(pos_tag) if v == 1]
-            pos2 = [j for j, v in enumerate(pos_tag) if v == 2]
-            w1 = tup(*(a.items[j] for j in pos1))
-            w2 = tup(*(a.items[j] for j in pos2))
-            b = pair(w1, w2)
-            alpha[(r, a)] = b
-            for e in dst.counters_at(leg2[r], b):
-                full: list = [None] * len(a.items)
-                for idx, j in enumerate(pos1):
-                    full[j] = e.fst.items[idx]
-                for idx, j in enumerate(pos2):
-                    full[j] = e.snd.items[idx]
-                d = tup(*full)
-                beta[(r, a, e)] = d
-                nexts = [
-                    p.next_state(x.fst, x.snd, dd) for x, dd in zip(a.items, full)
-                ]
-                n_full = mset(nexts)
-                n_match = canonical_match(tuple(nexts), section(n_full).items)
-                n_tags = [0] * len(nexts)
-                for j in range(len(nexts)):
-                    n_tags[n_match[j]] = pos_tag[j]
-                gamma[(r, a, e)] = pts[(n_full, tuple(n_tags))]
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    apex = FiniteSet(
+        pair(m, tup(*tags))
+        for m in src.states
+        for tags in itertools.product((tag1, tag2), repeat=len(m.items))
+    )
+
+    def pools(r):
+        dealt = tuple(zip(section(r.fst).items, r.snd.items))
+        return pair(mset(x for x, t in dealt if t is tag1), mset(x for x, t in dealt if t is tag2))
+
+    def move(r, a):
+        match = canonical_match(_word_states(a), section(r.fst).items)
+        pos_tag = [r.snd.items[t] for t in match]
+        pos1 = [j for j, v in enumerate(pos_tag) if v is tag1]
+        pos2 = [j for j, v in enumerate(pos_tag) if v is tag2]
+        b = pair(tup(*(a.items[j] for j in pos1)), tup(*(a.items[j] for j in pos2)))
+        return b, (pos1 + pos2, pos_tag)
+
+    def back(r, a, ctx, e):
+        slots, pos_tag = ctx
+        full: list = [None] * len(a.items)
+        for j, d in zip(slots, e.fst.items + e.snd.items):
+            full[j] = d
+        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
+        n_full = mset(nexts)
+        n_tags: list = [None] * len(nexts)
+        for j, t in enumerate(canonical_match(tuple(nexts), section(n_full).items)):
+            n_tags[t] = pos_tag[j]
+        return tup(*full), pair(n_full, tup(*n_tags))
+
+    return _transport_sim(
+        src,
+        tensor(src, src),
+        apex,
+        {r: r.fst for r in apex},
+        {r: pools(r) for r in apex},
+        move,
+        back,
+    )
 
 
 def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -589,22 +578,19 @@ def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Si
     if bound < 1:
         raise ValueError("dereliction needs at least one copy")
     src = bang(p, bound, max_enum=max_enum)
-    pts = {i: pair(mset([i]), i) for i in p.states}
-    apex = FiniteSet(pts.values())
-    leg1 = {pts[i]: mset([i]) for i in p.states}
-    leg2 = {pts[i]: i for i in p.states}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in p.states:
-        r = pts[i]
-        for a in src.moves_at(mset([i])):
-            raw = a.items[0].snd
-            alpha[(r, a)] = raw
-            for d in p.counters_at(i, raw):
-                beta[(r, a, d)] = tup(d)
-                gamma[(r, a, d)] = pts[p.next_state(i, raw, d)]
-    return Simulation(src, p, apex, leg1, leg2, alpha, beta, gamma)
+    apex = FiniteSet(pair(mset([i]), i) for i in p.states)
+
+    def move(r, a):
+        raw = a.items[0].snd
+        return raw, raw
+
+    def back(r, a, raw, d):
+        i2 = p.next[(r.snd, raw, d)]
+        return tup(d), pair(mset([i2]), i2)
+
+    return _transport_sim(
+        src, p, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
+    )
 
 
 def _flatten(m_of_msets: Element) -> Element:
@@ -619,12 +605,12 @@ def _split_into_parts(word_items: tuple, parts: tuple) -> list[list[int]]:
     remaining = list(range(len(word_items)))
     out = []
     for part in parts:
-        need = _counts(part)
+        need = Counter(part.items)
         got = []
         rest = []
         for j in remaining:
             u = word_items[j].fst
-            if need.get(u, 0) > 0:
+            if need[u] > 0:
                 need[u] -= 1
                 got.append(j)
             else:
@@ -643,78 +629,51 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
     """
     src = bang(p, bound, max_enum=max_enum)
     dst = bang(src, bound, max_enum=max_enum)
-    pts = {}
-    for big in dst.states:
-        pts_m = _flatten(big)
-        if pts_m in src.states:
-            pts[(pts_m, big)] = pair(pts_m, big)
-    apex = FiniteSet(pts.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (m, big), r in pts.items():
-        leg1[r] = m
-        leg2[r] = big
-        parts = big.items  # sorted arrangement of the grouping
-        for a in src.moves_at(m):
-            split = _split_into_parts(a.items, parts)
-            part_words = [tup(*(a.items[j] for j in grp)) for grp in split]
-            b = tup(*(pair(part, w) for part, w in zip(parts, part_words)))
-            alpha[(r, a)] = b
-            for e in dst.counters_at(big, b):
-                full: list = [None] * len(a.items)
-                for t, grp in enumerate(split):
-                    for idx, j in enumerate(grp):
-                        full[j] = e.items[t].items[idx]
-                d = tup(*full)
-                beta[(r, a, e)] = d
-                nexts = [
-                    p.next_state(x.fst, x.snd, dd) for x, dd in zip(a.items, full)
-                ]
-                n_m = mset(nexts)
-                n_big = mset(mset(nexts[j] for j in grp) for grp in split)
-                gamma[(r, a, e)] = pts[(n_m, n_big)]
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    apex = FiniteSet(
+        pair(m, big) for big in dst.states if (m := _flatten(big)) in src.states
+    )
+
+    def move(r, a):
+        parts = r.snd.items  # sorted arrangement of the grouping
+        split = _split_into_parts(a.items, parts)
+        b = tup(*(pair(part, tup(*(a.items[j] for j in grp))) for part, grp in zip(parts, split)))
+        return b, split
+
+    def back(r, a, split, e):
+        full: list = [None] * len(a.items)
+        for grp, sub in zip(split, e.items):
+            for j, d in zip(grp, sub.items):
+                full[j] = d
+        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
+        return tup(*full), pair(mset(nexts), mset(mset(nexts[j] for j in grp) for grp in split))
+
+    return _transport_sim(
+        src, dst, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
+    )
 
 
 def deriving_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
     """Prepend a fresh copy: p (x) (bound-1 replays) -> bound replays."""
     if bound < 1:
         raise ValueError("deriving needs at least one copy")
-    small = bang(p, bound - 1, max_enum=max_enum)
-    src = tensor(p, small)
+    src = tensor(p, bang(p, bound - 1, max_enum=max_enum))
     dst = bang(p, bound, max_enum=max_enum)
-    pts = {}
-    for i in p.states:
-        for m in small.states:
-            pts[(i, m)] = pair(pair(i, m), mset((i,) + m.items))
-    apex = FiniteSet(pts.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (i, m), r in pts.items():
-        leg1[r] = pair(i, m)
-        leg2[r] = mset((i,) + m.items)
-        for a in p.moves_at(i):
-            for abar in small.moves_at(m):
-                move = pair(a, abar)
-                b = tup(pair(i, a), *abar.items)
-                alpha[(r, move)] = b
-                for e in dst.counters_at(leg2[r], b):
-                    d0 = e.items[0]
-                    rest = tup(*e.items[1:])
-                    beta[(r, move, e)] = pair(d0, rest)
-                    i2 = p.next_state(i, a, d0)
-                    m2 = mset(
-                        p.next_state(x.fst, x.snd, dd)
-                        for x, dd in zip(abar.items, e.items[1:])
-                    )
-                    gamma[(r, move, e)] = pts[(i2, m2)]
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+
+    def point(i):  # the witness over a state pair(copy, pool) of src
+        return pair(i, mset((i.fst,) + i.snd.items))
+
+    apex = FiniteSet(point(i) for i in src.states)
+
+    def move(r, a):
+        return tup(pair(r.fst.fst, a.fst), *a.snd.items), None
+
+    def back(r, a, _, e):
+        d = pair(e.items[0], tup(*e.items[1:]))
+        return d, point(src.next[(r.fst, a, d)])
+
+    return _transport_sim(
+        src, dst, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
+    )
 
 
 def bang_sim(u: Simulation, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -730,29 +689,22 @@ def bang_sim(u: Simulation, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Sim
     if count > max_enum:
         raise SizeRefused("bang_sim apex", count, max_enum)
     apexes = all_msets_upto(FiniteSet(u.apex), bound)
-    leg1 = {rho: mset(u.leg1[r] for r in rho.items) for rho in apexes}
-    leg2 = {rho: mset(u.leg2[r] for r in rho.items) for rho in apexes}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for rho in apexes:
-        rbar = rho.items
-        vbar = tuple(u.leg1[r] for r in rbar)
-        for a in src.moves_at(leg1[rho]):
-            ubar = _word_states(a)
-            sigma = canonical_match(vbar, ubar)
-            wbar = perm_apply(sigma, rbar)
-            raws = _word_moves(a)
-            b = tup(*(pair(u.leg2[w], u.alpha[(w, x)]) for w, x in zip(wbar, raws)))
-            alpha[(rho, a)] = b
-            for e in dst.counters_at(leg2[rho], b):
-                beta[(rho, a, e)] = tup(
-                    *(
-                        u.beta[(w, x, dd)]
-                        for w, x, dd in zip(wbar, raws, e.items)
-                    )
-                )
-                gamma[(rho, a, e)] = mset(
-                    u.gamma[(w, x, dd)] for w, x, dd in zip(wbar, raws, e.items)
-                )
-    return Simulation(src, dst, apexes, leg1, leg2, alpha, beta, gamma)
+
+    def move(rho, a):
+        sigma = canonical_match(tuple(u.leg1[r] for r in rho.items), _word_states(a))
+        copies = tuple(zip(perm_apply(sigma, rho.items), _word_moves(a)))
+        return tup(*(pair(u.leg2[w], u.alpha[(w, x)]) for w, x in copies)), copies
+
+    def back(rho, a, copies, e):
+        keys = [(w, x, d) for (w, x), d in zip(copies, e.items)]
+        return tup(*(u.beta[k] for k in keys)), mset(u.gamma[k] for k in keys)
+
+    return _transport_sim(
+        src,
+        dst,
+        apexes,
+        {rho: mset(u.leg1[r] for r in rho.items) for rho in apexes},
+        {rho: mset(u.leg2[r] for r in rho.items) for rho in apexes},
+        move,
+        back,
+    )

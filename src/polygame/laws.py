@@ -38,7 +38,7 @@ from .exponential import (
     tensor_power,
 )
 from .fixtures import COIN, ONEWAY, TRAP, UNIT, unit_game
-from .games import FamilySet, Game, make_game, validate_game
+from .games import Game, make_game, validate_game
 from .limits import SizeRefused
 from .monoidal import (
     curry,
@@ -53,6 +53,7 @@ from .monoidal import (
 from .simulation import (
     Simulation,
     Span,
+    _transport_sim,
     add,
     check_simulation,
     compose,
@@ -106,14 +107,6 @@ def random_game(
             for d in ds:
                 nxt[(i, a, d)] = rng.choice(states)
     return make_game(states, moves, counters, nxt)
-
-
-def random_family(rng: random.Random, g: Game, pool: int = 3) -> FamilySet:
-    fibers = {}
-    for i in g.states:
-        size = rng.randint(0, pool)
-        fibers[i] = FiniteSet(atom(f"x{j}") for j in range(size))
-    return FamilySet(base=g.states, fibers=fibers)
 
 
 def random_simulation(
@@ -375,29 +368,27 @@ def symmetrize_over_power(u: Simulation, p: Game, k: int) -> Simulation:
     carries symmetry witnesses, which makes it raw material for
     :func:`~polygame.exponential.factor_through_power`.
     """
-    g = u.dst
-    pts = {}
-    for sigma in all_perms(k):
-        for r in u.apex:
-            pts[(sigma, r)] = pair(perm_element(sigma), r)
-    apex = FiniteSet(pts.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (sigma, r), pt in pts.items():
-        inv = perm_inverse(sigma)
-        leg1[pt] = u.leg1[r]
-        leg2[pt] = tup(*perm_apply(sigma, u.leg2[r].items))
-        for b1 in u.src.moves_at(u.leg1[r]):
-            raw = u.alpha[(r, b1)]
-            alpha[(pt, b1)] = tup(*perm_apply(sigma, raw.items))
-            for e in g.counters_at(leg2[pt], alpha[(pt, b1)]):
-                d = tup(*perm_apply(inv, e.items))
-                beta[(pt, b1, e)] = u.beta[(r, b1, d)]
-                gamma[(pt, b1, e)] = pts[(sigma, u.gamma[(r, b1, d)])]
-    return Simulation(u.src, g, apex, leg1, leg2, alpha, beta, gamma)
+    of = {pair(perm_element(sigma), r): (sigma, r) for sigma in all_perms(k) for r in u.apex}
+    apex = FiniteSet(of)
+
+    def move(pt, b1):
+        sigma, r = of[pt]
+        return tup(*perm_apply(sigma, u.alpha[(r, b1)].items)), None
+
+    def back(pt, b1, _, e):
+        sigma, r = of[pt]
+        key = (r, b1, tup(*perm_apply(perm_inverse(sigma), e.items)))
+        return u.beta[key], pair(pt.fst, u.gamma[key])
+
+    return _transport_sim(
+        u.src,
+        u.dst,
+        apex,
+        {pt: u.leg1[r] for pt, (_, r) in of.items()},
+        {pt: tup(*perm_apply(sigma, u.leg2[r].items)) for pt, (sigma, r) in of.items()},
+        move,
+        back,
+    )
 
 
 def symmetrize_span(rng: random.Random, base: FiniteSet, k: int, size: int = 3):

@@ -23,7 +23,7 @@ import itertools
 from .elements import Element, FiniteSet, enumerate_functions, fun, pair, star
 from .games import Game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget
-from .simulation import Simulation, _relabel_sim, identity_sim
+from .simulation import Simulation, _relabel_sim, _transport_sim, identity_sim
 from .fixtures import unit_game
 
 
@@ -37,18 +37,17 @@ def tensor(p1: Game, p2: Game) -> Game:
         for i2 in p2.states:
             i = pair(i1, i2)
             ms = []
-            for a1 in p1.moves_at(i1):
-                for a2 in p2.moves_at(i2):
+            for a1 in p1.moves[i1]:
+                for a2 in p2.moves[i2]:
                     a = pair(a1, a2)
                     ms.append(a)
                     ds = []
-                    for d1 in p1.counters_at(i1, a1):
-                        for d2 in p2.counters_at(i2, a2):
+                    for d1 in p1.counters[(i1, a1)]:
+                        j1 = p1.next[(i1, a1, d1)]
+                        for d2 in p2.counters[(i2, a2)]:
                             d = pair(d1, d2)
                             ds.append(d)
-                            nxt[(i, a, d)] = pair(
-                                p1.next_state(i1, a1, d1), p2.next_state(i2, a2, d2)
-                            )
+                            nxt[(i, a, d)] = pair(j1, p2.next[(i2, a2, d2)])
                     counters[(i, a)] = FiniteSet(ds)
             moves[i] = FiniteSet(ms)
     return Game(states, moves, counters, nxt)
@@ -56,37 +55,25 @@ def tensor(p1: Game, p2: Game) -> Game:
 
 def tensor_sim(s1: Simulation, s2: Simulation) -> Simulation:
     """The tensor of two simulations, componentwise on every layer."""
-    src = tensor(s1.src, s2.src)
-    dst = tensor(s1.dst, s2.dst)
-    points = {}
-    for r1 in s1.apex:
-        for r2 in s2.apex:
-            points[(r1, r2)] = pair(r1, r2)
-    apex = FiniteSet(points.values())
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for (r1, r2), r in points.items():
-        leg1[r] = pair(s1.leg1[r1], s2.leg1[r2])
-        leg2[r] = pair(s1.leg2[r1], s2.leg2[r2])
-        for a1 in s1.src.moves_at(s1.leg1[r1]):
-            for a2 in s2.src.moves_at(s2.leg1[r2]):
-                a = pair(a1, a2)
-                b1 = s1.alpha[(r1, a1)]
-                b2 = s2.alpha[(r2, a2)]
-                alpha[(r, a)] = pair(b1, b2)
-                for e1 in s1.dst.counters_at(s1.leg2[r1], b1):
-                    for e2 in s2.dst.counters_at(s2.leg2[r2], b2):
-                        e = pair(e1, e2)
-                        beta[(r, a, e)] = pair(
-                            s1.beta[(r1, a1, e1)], s2.beta[(r2, a2, e2)]
-                        )
-                        gamma[(r, a, e)] = points[
-                            (s1.gamma[(r1, a1, e1)], s2.gamma[(r2, a2, e2)])
-                        ]
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    apex = FiniteSet(pair(r1, r2) for r1 in s1.apex for r2 in s2.apex)
+
+    def move(r, a):
+        return pair(s1.alpha[(r.fst, a.fst)], s2.alpha[(r.snd, a.snd)]), None
+
+    def back(r, a, _, e):
+        k1 = (r.fst, a.fst, e.fst)
+        k2 = (r.snd, a.snd, e.snd)
+        return pair(s1.beta[k1], s2.beta[k2]), pair(s1.gamma[k1], s2.gamma[k2])
+
+    return _transport_sim(
+        tensor(s1.src, s2.src),
+        tensor(s1.dst, s2.dst),
+        apex,
+        {r: pair(s1.leg1[r.fst], s2.leg1[r.snd]) for r in apex},
+        {r: pair(s1.leg2[r.fst], s2.leg2[r.snd]) for r in apex},
+        move,
+        back,
+    )
 
 
 # -- structural isomorphisms --------------------------------------------------
@@ -240,33 +227,32 @@ def curry(s: Simulation, p1: Game, p2: Game, max_enum: int = DEFAULT_MAX_ENUM) -
         raise ValueError("curry: src is not the tensor of the given factors")
     p3 = s.dst
     ell = lollipop(p2, p3, max_enum=max_enum)
-    leg1 = {r: s.leg1[r].fst for r in s.apex}
-    leg2 = {r: pair(s.leg1[r].snd, s.leg2[r]) for r in s.apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for r in s.apex:
-        i1 = s.leg1[r].fst
-        i2 = s.leg1[r].snd
-        i3 = s.leg2[r]
-        for a1 in p1.moves_at(i1):
-            f_graph = []
-            phi_graph = []
-            for a2 in p2.moves_at(i2):
-                a3 = s.alpha[(r, pair(a1, a2))]
-                f_graph.append((a2, a3))
-                inner = []
-                for d3 in p3.counters_at(i3, a3):
-                    inner.append((d3, s.beta[(r, pair(a1, a2), d3)].snd))
-                phi_graph.append((a2, fun(inner)))
-            alpha[(r, a1)] = pair(fun(f_graph), fun(phi_graph))
-            for a2 in p2.moves_at(i2):
-                a3 = s.alpha[(r, pair(a1, a2))]
-                for d3 in p3.counters_at(i3, a3):
-                    key = (r, a1, pair(a2, d3))
-                    beta[key] = s.beta[(r, pair(a1, a2), d3)].fst
-                    gamma[key] = s.gamma[(r, pair(a1, a2), d3)]
-    return Simulation(p1, ell, s.apex, leg1, leg2, alpha, beta, gamma)
+
+    def move(r, a1):
+        f_graph = []
+        phi_graph = []
+        for a2 in p2.moves[s.leg1[r].snd]:
+            a = pair(a1, a2)
+            a3 = s.alpha[(r, a)]
+            f_graph.append((a2, a3))
+            phi_graph.append(
+                (a2, fun((d3, s.beta[(r, a, d3)].snd) for d3 in p3.counters[(s.leg2[r], a3)]))
+            )
+        return pair(fun(f_graph), fun(phi_graph)), None
+
+    def back(r, a1, _, d):
+        k = (r, pair(a1, d.fst), d.snd)
+        return s.beta[k].fst, s.gamma[k]
+
+    return _transport_sim(
+        p1,
+        ell,
+        s.apex,
+        {r: s.leg1[r].fst for r in s.apex},
+        {r: pair(s.leg1[r].snd, s.leg2[r]) for r in s.apex},
+        move,
+        back,
+    )
 
 
 def uncurry(s: Simulation, p1: Game, p2: Game, p3: Game) -> Simulation:
@@ -274,29 +260,24 @@ def uncurry(s: Simulation, p1: Game, p2: Game, p3: Game) -> Simulation:
 
     Exact inverse of :func:`curry` on the nose (same apex, same raw tables).
     """
-    src = tensor(p1, p2)
-    leg1 = {r: pair(s.leg1[r], s.leg2[r].fst) for r in s.apex}
-    leg2 = {r: s.leg2[r].snd for r in s.apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for r in s.apex:
-        i1 = s.leg1[r]
-        i2 = s.leg2[r].fst
-        i3 = s.leg2[r].snd
-        for a1 in p1.moves_at(i1):
-            move = s.alpha[(r, a1)]
-            f, phi = move.fst, move.snd
-            for a2 in p2.moves_at(i2):
-                a3 = f.apply(a2)
-                a = pair(a1, a2)
-                alpha[(r, a)] = a3
-                for d3 in p3.counters_at(i3, a3):
-                    d1 = s.beta[(r, a1, pair(a2, d3))]
-                    d2 = phi.apply(a2).apply(d3)
-                    beta[(r, a, d3)] = pair(d1, d2)
-                    gamma[(r, a, d3)] = s.gamma[(r, a1, pair(a2, d3))]
-    return Simulation(src, p3, s.apex, leg1, leg2, alpha, beta, gamma)
+
+    def move(r, a):
+        f_phi = s.alpha[(r, a.fst)]
+        return f_phi.fst.apply(a.snd), f_phi.snd.apply(a.snd)
+
+    def back(r, a, inner, d3):
+        k = (r, a.fst, pair(a.snd, d3))
+        return pair(s.beta[k], inner.apply(d3)), s.gamma[k]
+
+    return _transport_sim(
+        tensor(p1, p2),
+        p3,
+        s.apex,
+        {r: pair(s.leg1[r], s.leg2[r].fst) for r in s.apex},
+        {r: s.leg2[r].snd for r in s.apex},
+        move,
+        back,
+    )
 
 
 def eval_sim(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:

@@ -26,6 +26,12 @@ reshuffle witnesses of the powers.  :func:`span_compose` is the one pullback,
 and :func:`compose` takes its apex.  ``_relabel_sim`` builds every simulation
 whose apex is its source's states: identities, injections, reshuffles and the
 tensor's coherence isomorphisms.
+
+The transports are written once as well: ``_transport_sim`` walks a span's
+source moves and target counters and asks one callback for alpha, another for
+beta and gamma.  Every builder goes through it (README, "The model") except
+the synthesised simulations, which follow the fixpoint's index,
+``counit_sim``, a single point, and the document decoder.
 """
 
 from __future__ import annotations
@@ -48,12 +54,6 @@ class Simulation:
     alpha: Mapping[tuple[Element, Element], Element]
     beta: Mapping[tuple[Element, Element, Element], Element]
     gamma: Mapping[tuple[Element, Element, Element], Element]
-
-    def describe(self) -> str:
-        return (
-            f"Simulation(apex={len(self.apex)}, "
-            f"src states={len(self.src.states)}, dst states={len(self.dst.states)})"
-        )
 
 
 def check_simulation(s: Simulation) -> list[str]:
@@ -130,6 +130,30 @@ def identity_sim(g: Game) -> Simulation:
     return _relabel_sim(g, g, lambda i: i, lambda i, a: a, lambda i, a, e: e)
 
 
+def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back) -> Simulation:
+    """A simulation over a given span, its transports read off two callbacks.
+
+    For every apex point r and src-move a1 at leg1[r], ``move(r, a1)`` returns
+    ``(a2, ctx)``: the dst-move alpha answers with, and whatever per-move work
+    the counters of a2 share.  For every dst-counter d2 to a2 at leg2[r],
+    ``back(r, a1, ctx, d2)`` returns ``(d1, r2)``: the src-counter beta pulls
+    d2 back to, and the apex point gamma lands on.  This is the one place that
+    keys alpha by (r, a1) and beta and gamma by (r, a1, d2).
+    """
+    alpha = {}
+    beta = {}
+    gamma = {}
+    for r in apex:
+        i2 = leg2[r]
+        for a1 in src.moves[leg1[r]]:
+            a2, ctx = move(r, a1)
+            alpha[(r, a1)] = a2
+            for d2 in dst.counters[(i2, a2)]:
+                k = (r, a1, d2)
+                beta[k], gamma[k] = back(r, a1, ctx, d2)
+    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+
+
 def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Simulation:
     """A simulation whose apex is src's states, from bijective relabelling data.
 
@@ -137,21 +161,19 @@ def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Sim
     move; ``counter_back``: (i, a, dst counter) -> src counter.  The caller
     promises the successor tables commute.
     """
-    apex = src.states
-    leg1 = {i: i for i in apex}
-    leg2 = {i: state_map(i) for i in apex}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for i in apex:
-        for a in src.moves_at(i):
-            b = move_map(i, a)
-            alpha[(i, a)] = b
-            for e in dst.counters_at(leg2[i], b):
-                d = counter_back(i, a, e)
-                beta[(i, a, e)] = d
-                gamma[(i, a, e)] = src.next_state(i, a, d)
-    return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+    def back(i, a, _, e):
+        d = counter_back(i, a, e)
+        return d, src.next[(i, a, d)]
+
+    return _transport_sim(
+        src,
+        dst,
+        src.states,
+        {i: i for i in src.states},
+        {i: state_map(i) for i in src.states},
+        lambda i, a: (move_map(i, a), None),
+        back,
+    )
 
 
 def compose(s: Simulation, t: Simulation) -> Simulation:
@@ -163,20 +185,17 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
     if s.dst != t.src:
         raise ValueError("compose: s.dst and t.src are different games")
     span = span_compose(underlying_span(s), underlying_span(t))
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for p in span.apex:
+
+    def move(p, a1):
+        a2 = s.alpha[(p.fst, a1)]
+        return t.alpha[(p.snd, a2)], a2
+
+    def back(p, a1, a2, d3):
         r, q = p.fst, p.snd
-        for a1 in s.src.moves_at(s.leg1[r]):
-            a2 = s.alpha[(r, a1)]
-            a3 = t.alpha[(q, a2)]
-            alpha[(p, a1)] = a3
-            for d3 in t.dst.counters_at(t.leg2[q], a3):
-                d2 = t.beta[(q, a2, d3)]
-                beta[(p, a1, d3)] = s.beta[(r, a1, d2)]
-                gamma[(p, a1, d3)] = pair(s.gamma[(r, a1, d2)], t.gamma[(q, a2, d3)])
-    return Simulation(s.src, t.dst, span.apex, span.leg1, span.leg2, alpha, beta, gamma)
+        d2 = t.beta[(q, a2, d3)]
+        return s.beta[(r, a1, d2)], pair(s.gamma[(r, a1, d2)], t.gamma[(q, a2, d3)])
+
+    return _transport_sim(s.src, t.dst, span.apex, span.leg1, span.leg2, move, back)
 
 
 def zero_sim(src: Game, dst: Game) -> Simulation:
@@ -188,31 +207,26 @@ def add(s: Simulation, t: Simulation) -> Simulation:
     """Tagged union of two parallel simulations (the sum of the enrichment)."""
     if s.src != t.src or s.dst != t.dst:
         raise ValueError("add: simulations are not parallel")
-    tag_l, tag_r = atom("L"), atom("R")
+    of = {atom("L"): s, atom("R"): t}
+    apex = FiniteSet(pair(tag, r) for tag, sim in of.items() for r in sim.apex)
 
-    def build(sim: Simulation, tag: Element):
-        pts = {r: pair(tag, r) for r in sim.apex}
-        return pts
+    def move(p, a1):
+        sim = of[p.fst]
+        return sim.alpha[(p.snd, a1)], sim
 
-    pts_l = build(s, tag_l)
-    pts_r = build(t, tag_r)
-    apex = FiniteSet(list(pts_l.values()) + list(pts_r.values()))
-    leg1 = {}
-    leg2 = {}
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for sim, pts in ((s, pts_l), (t, pts_r)):
-        for r, p in pts.items():
-            leg1[p] = sim.leg1[r]
-            leg2[p] = sim.leg2[r]
-            for a1 in sim.src.moves_at(sim.leg1[r]):
-                alpha[(p, a1)] = sim.alpha[(r, a1)]
-                a2 = sim.alpha[(r, a1)]
-                for d2 in sim.dst.counters_at(sim.leg2[r], a2):
-                    beta[(p, a1, d2)] = sim.beta[(r, a1, d2)]
-                    gamma[(p, a1, d2)] = pts[sim.gamma[(r, a1, d2)]]
-    return Simulation(s.src, s.dst, apex, leg1, leg2, alpha, beta, gamma)
+    def back(p, a1, sim, d2):
+        k = (p.snd, a1, d2)
+        return sim.beta[k], pair(p.fst, sim.gamma[k])
+
+    return _transport_sim(
+        s.src,
+        s.dst,
+        apex,
+        {p: of[p.fst].leg1[p.snd] for p in apex},
+        {p: of[p.fst].leg2[p.snd] for p in apex},
+        move,
+        back,
+    )
 
 
 # -- morphism equality -------------------------------------------------------

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from polygame import exponential
-from polygame.elements import FiniteSet, atom
+from polygame.elements import FiniteSet, atom, tup
 from polygame.exponential import (
     all_msets,
     all_msets_upto,
@@ -26,12 +26,14 @@ from polygame.exponential import (
     find_symmetry_witnesses,
     orbit,
     orbit_span,
+    permutation_transport,
     power_game,
     section,
     section_span,
     span_free_monoid_factor,
     symmetry_sim,
     tensor_power,
+    transport_square_is_pullback,
 )
 from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.games import validate_game
@@ -277,3 +279,30 @@ def test_enumeration_budget_is_cumulative():
     # and an explicit ceiling is honored
     with pytest.raises(SizeRefused):
         bang(COIN, 2, max_enum=5)
+
+
+def test_bang_charges_one_budget_across_its_powers():
+    # the powers 0..3 of COIN charge 3 + 8 + 23 + 76 = 110 rows in all
+    with pytest.raises(SizeRefused):
+        bang(COIN, 3, max_enum=76)
+    assert bang(COIN, 3, max_enum=110) == bang(COIN, 3)
+
+
+def test_transport_square_is_pullback():
+    x, y = atom("x"), atom("y")
+    a, b, c = atom("a"), atom("b"), atom("c")
+
+    def on_words(k, f):
+        return {w: tup(*f(w.items)) for w in all_words(FiniteSet([x, y]), k)}
+
+    cases = [
+        (on_words(2, lambda w: w[::-1]), {a: x, b: y, c: x}, 2, ("ab", "ba")),
+        (on_words(3, lambda w: w[1:] + w[:1]), {a: x, b: y}, 3, ("aab", "aba")),
+    ]
+    for h, g, k, (w1, w2) in cases:
+        rho = permutation_transport(h, g, k)
+        assert transport_square_is_pullback(h, g, k, rho)
+        v1, v2 = (tup(*(atom(ch) for ch in w)) for w in (w1, w2))
+        swapped = dict(rho)
+        swapped[v1], swapped[v2] = rho[v2], rho[v1]
+        assert not transport_square_is_pullback(h, g, k, swapped)

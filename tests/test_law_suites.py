@@ -39,14 +39,39 @@ FROZEN = {
     "synthesis": "c234a766422beba74de02cceb64523d4f9b40b06b30def86e130cf95511f7262",
     "bang": "1a30130ab0fe3d9f1ca538cb332bfd73fe6274d15b9e1d1d4877e6c9d5abb1a0",
     "comul_sim": "7491e3d0d0dbcad5fae1b6142facf591a57bb240a6790c66cb8b6e86c526fd56",
+    # the builders' documents as written by a hand-rolled transport loop in each
+    "identity_sim": "5f56e0e9c1bf6272f59c633df35c851ef02a8248b9b917f9052d00a755bc7f40",
+    "compose": "90094b8c78bb81b4066add5efff0beb7b484f18ab9da959ea83f1e57d243a222",
+    "add": "9d2c7d1deec654b24d566548c56093c392a837061faeda68a6afcd6b55464777",
+    "tensor_sim": "60575820d47f4e189801478543564d9632d9a9d597638ec0bb66e07cfb9d6c5c",
+    "curry": "9771f86296eeb120e9aef62d872f789c50cf7fd384e920aa2b59c6ecbe2dbb6a",
+    "uncurry": "0f55e42182fcd88bc2af99bf9b8bcaf56133f4140199a15eac74ec6484b17c02",
+    "assoc": "09788d4b3905b09060ac2d4bad0d7ec043dc7c3142fea6b36bf1c8bf4345c0c7",
+    "injection": "65aa4e57088b591b5482782ba496c4ab91c4097c68add5985dbebb4139750c08",
+    "projection": "172f1cf8c997f1a1ee70ce4f3829df3be8638777bd00bf67eb61fcbcb7478fbd",
+    "copair": "bd1af132aa787172c5b5759587a76b3e7c9c9519e97eab0e22797116faa42178",
+    "to_sim": "8c8839d962c34e80a7afc1321fca4789ed88b559660b6c23f40e17bd8b755e5e",
+    "chat": "7ffbe82c267916740125dbe5a0223727ab8a55c73d0b25fc0b2fb843d570d0ff",
+    "factor_through_power": "122bb8cde312a57493fe6b07cace70f6b93c6e0587021e5b586dd3fe84dd24f2",
+    "dereliction_sim": "dbaa4d033321fc7ed6463764f6b1102aa92c6d1315bfd146c180157c2154337b",
+    "digging_sim": "9f5294b483a8cc373036e7d6b21607a177e8a086a158018e5365865536e4f244",
+    "deriving_sim": "0ec565f57feb63d81daf1c3eeeb18da2159013d57397e3795849c99ae3a033d2",
+    "bang_sim": "6d95967dba77b650e41d294a636fb368becad4da66b029111fe388b263ba5fee",
 }
 
 DIGESTS = """
 import hashlib
+import random
+from polygame.additive import adjoint_transpose, copair, injection, projection
 from polygame.documents import dump_document
-from polygame.exponential import bang, comul_sim
-from polygame.fixtures import COIN
-from polygame.laws import SUITES, run_suite
+from polygame.exponential import (bang, bang_sim, chat, comul_sim, dereliction_sim,
+                                  deriving_sim, digging_sim, factor_through_power,
+                                  tensor_power)
+from polygame.fixtures import COIN, TRAP, UNIT
+from polygame.laws import SUITES, random_simulation, run_suite, symmetrize_over_power
+from polygame.monoidal import curry, structural_iso, tensor, tensor_sim, uncurry
+from polygame.simulation import add, compose, identity_sim, underlying_span
+from polygame.synthesis import max_simulation
 
 for suite in sorted(SUITES):
     h = hashlib.sha256()
@@ -57,6 +82,33 @@ for suite in sorted(SUITES):
 for name, kind, value in (("bang", "game", bang(COIN, 3)),
                           ("comul_sim", "simulation", comul_sim(COIN, 3))):
     print(name, hashlib.sha256(dump_document(kind, value).encode()).hexdigest())
+
+# one small instance of every simulation builder that writes transports
+ms = max_simulation(COIN, COIN)
+tc = max_simulation(TRAP, COIN)
+u = random_simulation(random.Random(3), COIN, tensor_power(COIN, 2))
+cur = curry(random_simulation(random.Random(5), tensor(COIN, TRAP), COIN), COIN, TRAP)
+sims = {
+    "identity_sim": identity_sim(TRAP),
+    "compose": compose(tc, ms),
+    "add": add(ms, identity_sim(COIN)),
+    "tensor_sim": tensor_sim(ms, identity_sim(TRAP)),
+    "curry": cur,
+    "uncurry": uncurry(cur, COIN, TRAP, COIN),
+    "assoc": structural_iso("assoc", COIN, TRAP, UNIT)[1],
+    "injection": injection(COIN, TRAP, 1),
+    "projection": projection(COIN, TRAP, 2),
+    "copair": copair(ms, tc),
+    "to_sim": adjoint_transpose("right", "to_sim", underlying_span(ms), COIN.states, COIN),
+    "chat": chat(COIN, 2),
+    "factor_through_power": factor_through_power(symmetrize_over_power(u, COIN, 2), COIN, 2),
+    "dereliction_sim": dereliction_sim(COIN, 2),
+    "digging_sim": digging_sim(COIN, 2),
+    "deriving_sim": deriving_sim(TRAP, 2),
+    "bang_sim": bang_sim(dereliction_sim(COIN, 1), 2),
+}
+for name, s in sims.items():
+    print(name, hashlib.sha256(dump_document("simulation", s).encode()).hexdigest())
 """
 
 
