@@ -1,138 +1,177 @@
 """The JSON wire format for games, simulations, regions, and reports.
 
-Every file is a *document*: ``{"format_version": 1, "kind": ..., "payload":
+Every file is a *document*: ``{"format_version": 2, "kind": ..., "payload":
 ...}`` with kind one of ``game``, ``simulation``, ``region``, ``report``.
 Unknown fields are rejected everywhere, with the offending path in the error.
 
-Elements encode as: a bare string is an atom, the bare string ``"star"`` is
-the unit point, and composites are one-key objects ``{"pair": [x, y]}``,
-``{"tuple": [...]}``, ``{"mset": [...]}``, ``{"fun": [[k, v], ...]}``.
-Tables keyed by composite values (a counter fiber is keyed by a state *and* a
-move) use the canonical compact JSON text of the composite as the object key,
-e.g. ``"{\\"pair\\":[\\"ok\\",\\"go\\"]}"``.  Emission is canonical -- sorted
-keys, no incidental whitespace in keys, fibers in element order -- so equal
-values always serialise to identical bytes.
+The elements of a game, simulation or region document live in one table,
+``payload.elements``, which lists each distinct element once, children before
+parents.  An atom is a bare string, the unit point is the bare string
+``"star"``, and a composite is a one-key object over the indices of earlier
+entries: ``{"pair": [i, j]}``, ``{"tuple": [...]}``, ``{"mset": [...]}``,
+``{"fun": [[i, j], ...]}``.  Every other place that holds an element -- the
+states, the fibers, the apex, the legs and the transports -- holds its index.
+Tables keyed by several elements (a counter fiber is keyed by a state *and* a
+move) use the indices joined by commas, e.g. ``"12,3,40"``.  Reports hold no
+elements and carry no table.
+
+The table lists elements in the order of their first occurrence in one
+canonical walk of the value: a game's states, then state by state its moves,
+each move's counters and their successors; a simulation's source, target and
+apex, then its legs and transports in the order of their keys.  That order
+depends on the value alone, and emission is otherwise canonical too (sorted
+keys, no incidental whitespace), so equal values serialise to identical bytes
+and loading a document then dumping it reproduces them.  Decoding builds each
+table entry once; an index that is not an integer, is out of range, or (in
+the table) does not name an earlier entry is refused with its path.
+
+Format version 1, which wrote the whole term at every occurrence of an
+element, is not read.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Callable
 
 from .elements import Element, FiniteSet, atom, fun, mset, pair, star, tup
 from .games import Game
 from .simulation import Simulation
 from .synthesis import Region
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class DocumentError(ValueError):
     """Malformed document: bad JSON shape, unknown field, or unparseable value."""
 
 
-# -- elements -------------------------------------------------------------------
+# -- the element table ------------------------------------------------------------
 
 
-def encode_element(e: Element) -> Any:
-    k = e.kind
-    if k == "atom":
-        return e.data
-    if k == "star":
-        return "star"
-    if k == "pair":
-        return {"pair": [encode_element(e.data[0]), encode_element(e.data[1])]}
-    if k == "tuple":
-        return {"tuple": [encode_element(x) for x in e.data]}
-    if k == "mset":
-        return {"mset": [encode_element(x) for x in e.data]}
-    if k == "fun":
-        return {"fun": [[encode_element(a), encode_element(b)] for a, b in e.data]}
-    raise AssertionError(k)
+def _writer() -> tuple[Callable[[Element], int], list]:
+    """An empty element table, and the function that returns an element's
+    index in it, appending the element (after its children) on first sight."""
+    index: dict[Element, int] = {}
+    rows: list = []
+
+    def ref(e: Element) -> int:
+        n = index.get(e)
+        if n is not None:
+            return n
+        k = e.kind
+        if k == "atom":
+            row = e.data
+        elif k == "star":
+            row = "star"
+        elif k == "fun":
+            row = {"fun": [[ref(a), ref(b)] for a, b in e.data]}
+        else:  # pair, tuple, mset
+            row = {k: [ref(x) for x in e.data]}
+        index[e] = n = len(rows)
+        rows.append(row)
+        return n
+
+    return ref, rows
 
 
-def decode_element(v: Any, path: str = "element") -> Element:
-    if isinstance(v, str):
-        if v == "star":
-            return star()
+def _ref(table: dict, v, path: str) -> Element:
+    e = table.get(v) if type(v) is int else None
+    if e is None:
+        if type(v) is not int:
+            raise DocumentError(f"{path}: expected an element index, got {type(v).__name__}")
+        raise DocumentError(
+            f"{path}: element index {v} is out of range ({len(table) // 2} entries available)"
+        )
+    return e
+
+
+def _refs(table: dict, v, path: str) -> list:
+    if not isinstance(v, list):
+        raise DocumentError(f"{path}: expected a list of element indices")
+    out = [table.get(x) if type(x) is int else None for x in v]
+    if None in out:
+        return [_ref(table, x, f"{path}[{n}]") for n, x in enumerate(v)]  # raises
+    return out
+
+
+def _key(table: dict, key: str, arity: int, path: str) -> tuple:
+    """The elements named by a table key of ``arity`` comma-joined indices."""
+    parts = key.split(",")
+    if len(parts) == arity:
         try:
-            return atom(v)
-        except ValueError as exc:
-            raise DocumentError(f"{path}: {exc}") from None
-    if isinstance(v, dict):
-        if len(v) != 1:
-            raise DocumentError(f"{path}: composite must have exactly one key")
-        (tag, body), = v.items()
-        if tag == "pair":
-            if not isinstance(body, list) or len(body) != 2:
-                raise DocumentError(f"{path}: pair needs a two-item list")
-            return pair(
-                decode_element(body[0], f"{path}.pair[0]"),
-                decode_element(body[1], f"{path}.pair[1]"),
-            )
-        if tag == "tuple":
-            if not isinstance(body, list):
-                raise DocumentError(f"{path}: tuple needs a list")
-            return tup(*(decode_element(x, f"{path}.tuple[{n}]") for n, x in enumerate(body)))
-        if tag == "mset":
-            if not isinstance(body, list):
-                raise DocumentError(f"{path}: mset needs a list")
-            return mset(decode_element(x, f"{path}.mset[{n}]") for n, x in enumerate(body))
-        if tag == "fun":
-            if not isinstance(body, list):
-                raise DocumentError(f"{path}: fun needs a list of [key, value] pairs")
-            entries = []
-            for n, kv in enumerate(body):
-                if not isinstance(kv, list) or len(kv) != 2:
-                    raise DocumentError(f"{path}.fun[{n}]: entry must be a [key, value] pair")
-                entries.append(
-                    (
-                        decode_element(kv[0], f"{path}.fun[{n}][0]"),
-                        decode_element(kv[1], f"{path}.fun[{n}][1]"),
-                    )
-                )
+            return tuple([table[p] for p in parts])
+        except KeyError:
+            pass
+    raise DocumentError(
+        f"{path} key {key!r}: expected {arity} comma-joined element index(es)"
+        f" below {len(table) // 2}"
+    )
+
+
+def _read_table(rows, path: str) -> dict:
+    """Decode ``payload.elements`` into a map from each index, and from its
+    decimal text, to the element; each entry goes through a factory once."""
+    if not isinstance(rows, list):
+        raise DocumentError(f"{path}: expected a list")
+    table: dict = {}
+    for n, v in enumerate(rows):
+        at = f"{path}[{n}]"
+        if isinstance(v, str):
             try:
-                return fun(entries)
+                e = star() if v == "star" else atom(v)
             except ValueError as exc:
-                raise DocumentError(f"{path}: {exc}") from None
-        raise DocumentError(f"{path}: unknown composite tag {tag!r}")
-    raise DocumentError(f"{path}: expected a string or one-key object, got {type(v).__name__}")
-
-
-def element_key(e: Element) -> str:
-    """Canonical compact text of an element, used as a JSON object key."""
-    return json.dumps(encode_element(e), sort_keys=True, separators=(",", ":"))
-
-
-def _decode_key(text: str, path: str) -> Element:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: key is not valid JSON: {exc}") from None
-    return decode_element(raw, path)
+                raise DocumentError(f"{at}: {exc}") from None
+        elif isinstance(v, dict) and len(v) == 1:
+            (tag, body), = v.items()
+            if tag == "pair":
+                items = _refs(table, body, f"{at}.pair")
+                if len(items) != 2:
+                    raise DocumentError(f"{at}.pair: expected two indices")
+                e = pair(*items)
+            elif tag == "tuple":
+                e = tup(*_refs(table, body, f"{at}.tuple"))
+            elif tag == "mset":
+                e = mset(_refs(table, body, f"{at}.mset"))
+            elif tag == "fun":
+                if not isinstance(body, list):
+                    raise DocumentError(f"{at}.fun: expected a list of [key, value] pairs")
+                entries = []
+                for m, kv in enumerate(body):
+                    if not isinstance(kv, list) or len(kv) != 2:
+                        raise DocumentError(f"{at}.fun[{m}]: entry must be a [key, value] pair")
+                    entries.append(tuple(_refs(table, kv, f"{at}.fun[{m}]")))
+                try:
+                    e = fun(entries)
+                except ValueError as exc:
+                    raise DocumentError(f"{at}: {exc}") from None
+            else:
+                raise DocumentError(f"{at}: unknown composite tag {tag!r}")
+        else:
+            raise DocumentError(f"{at}: expected a string or one-key object")
+        table[n] = table[str(n)] = e
+    return table
 
 
 # -- games ----------------------------------------------------------------------
 
 
-def encode_game(g: Game) -> dict:
+def encode_game(g: Game, ref: Callable[[Element], int]) -> dict:
+    states = [ref(i) for i in g.states]
     moves = {}
     counters = {}
     nxt = {}
     for i in g.states:
-        moves[element_key(i)] = [encode_element(a) for a in g.moves_at(i)]
-        for a in g.moves_at(i):
-            counters[element_key(pair(i, a))] = [
-                encode_element(d) for d in g.counters_at(i, a)
-            ]
-            for d in g.counters_at(i, a):
-                nxt[element_key(tup(i, a, d))] = encode_element(g.next_state(i, a, d))
-    return {
-        "states": [encode_element(i) for i in g.states],
-        "moves": moves,
-        "counters": counters,
-        "next": nxt,
-    }
+        ki = str(ref(i))
+        fiber = g.moves[i]
+        moves[ki] = [ref(a) for a in fiber]
+        for a in fiber:
+            ka = f"{ki},{ref(a)}"
+            cofiber = g.counters[(i, a)]
+            counters[ka] = [ref(d) for d in cofiber]
+            for d in cofiber:
+                nxt[f"{ka},{ref(d)}"] = ref(g.next[(i, a, d)])
+    return {"states": states, "moves": moves, "counters": counters, "next": nxt}
 
 
 def _check_fields(obj: dict, allowed: tuple, path: str) -> None:
@@ -146,37 +185,21 @@ def _check_fields(obj: dict, allowed: tuple, path: str) -> None:
             raise DocumentError(f"{path}: missing field {k!r}")
 
 
-def decode_game(payload: dict, path: str = "payload") -> Game:
+def decode_game(payload: dict, table: dict, path: str = "payload") -> Game:
     _check_fields(payload, ("states", "moves", "counters", "next"), path)
-    if not isinstance(payload["states"], list):
-        raise DocumentError(f"{path}.states: expected a list")
-    states = FiniteSet(
-        decode_element(v, f"{path}.states[{n}]") for n, v in enumerate(payload["states"])
-    )
+    states = FiniteSet(_refs(table, payload["states"], f"{path}.states"))
     moves = {}
     for key, fiber in _items(payload["moves"], f"{path}.moves"):
-        i = _decode_key(key, f"{path}.moves key")
-        if not isinstance(fiber, list):
-            raise DocumentError(f"{path}.moves[{key}]: expected a list")
-        moves[i] = FiniteSet(
-            decode_element(v, f"{path}.moves[{key}][{n}]") for n, v in enumerate(fiber)
-        )
+        i, = _key(table, key, 1, f"{path}.moves")
+        moves[i] = FiniteSet(_refs(table, fiber, f"{path}.moves[{key}]"))
     counters = {}
     for key, fiber in _items(payload["counters"], f"{path}.counters"):
-        e = _decode_key(key, f"{path}.counters key")
-        if e.kind != "pair":
-            raise DocumentError(f"{path}.counters key {key!r}: expected a pair")
-        if not isinstance(fiber, list):
-            raise DocumentError(f"{path}.counters[{key}]: expected a list")
-        counters[(e.fst, e.snd)] = FiniteSet(
-            decode_element(v, f"{path}.counters[{key}][{n}]") for n, v in enumerate(fiber)
+        counters[_key(table, key, 2, f"{path}.counters")] = FiniteSet(
+            _refs(table, fiber, f"{path}.counters[{key}]")
         )
     nxt = {}
     for key, v in _items(payload["next"], f"{path}.next"):
-        e = _decode_key(key, f"{path}.next key")
-        if e.kind != "tuple" or len(e.items) != 3:
-            raise DocumentError(f"{path}.next key {key!r}: expected a three-item tuple")
-        nxt[(e.items[0], e.items[1], e.items[2])] = decode_element(v, f"{path}.next[{key}]")
+        nxt[_key(table, key, 3, f"{path}.next")] = _ref(table, v, f"{path}.next[{key}]")
     return Game(states=states, moves=moves, counters=counters, next=nxt)
 
 
@@ -189,99 +212,55 @@ def _items(obj, path):
 # -- simulations ------------------------------------------------------------------
 
 
-def encode_simulation(s: Simulation) -> dict:
-    leg = lambda table: {element_key(r): encode_element(v) for r, v in sorted(
-        table.items(), key=lambda kv: kv[0].key
-    )}  # noqa: E731
-    alpha = {}
-    for (r, a1), v in sorted(s.alpha.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key)):
-        alpha[element_key(pair(r, a1))] = encode_element(v)
-    beta = {}
-    gamma = {}
-    for table, out in ((s.beta, beta), (s.gamma, gamma)):
-        for (r, a1, d2), v in sorted(
-            table.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key, kv[0][2].key)
-        ):
-            out[element_key(tup(r, a1, d2))] = encode_element(v)
-    return {
-        "src": encode_game(s.src),
-        "dst": encode_game(s.dst),
-        "apex": [encode_element(r) for r in s.apex],
-        "leg1": leg(s.leg1),
-        "leg2": leg(s.leg2),
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-    }
+def encode_simulation(s: Simulation, ref: Callable[[Element], int]) -> dict:
+    out = {"src": encode_game(s.src, ref), "dst": encode_game(s.dst, ref),
+           "apex": [ref(r) for r in s.apex]}
+    for name in ("leg1", "leg2"):
+        rows = sorted(getattr(s, name).items(), key=lambda kv: kv[0].key)
+        out[name] = {str(ref(r)): ref(v) for r, v in rows}
+    rows = sorted(s.alpha.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
+    out["alpha"] = {f"{ref(r)},{ref(a1)}": ref(v) for (r, a1), v in rows}
+    for name in ("beta", "gamma"):
+        rows = sorted(getattr(s, name).items(),
+                      key=lambda kv: (kv[0][0].key, kv[0][1].key, kv[0][2].key))
+        out[name] = {f"{ref(r)},{ref(a1)},{ref(d2)}": ref(v) for (r, a1, d2), v in rows}
+    return out
 
 
-def decode_simulation(payload: dict, path: str = "payload") -> Simulation:
+def decode_simulation(payload: dict, table: dict, path: str = "payload") -> Simulation:
     _check_fields(
         payload,
         ("src", "dst", "apex", "leg1", "leg2", "alpha", "beta", "gamma"),
         path,
     )
-    src = decode_game(payload["src"], f"{path}.src")
-    dst = decode_game(payload["dst"], f"{path}.dst")
-    if not isinstance(payload["apex"], list):
-        raise DocumentError(f"{path}.apex: expected a list")
-    apex = FiniteSet(
-        decode_element(v, f"{path}.apex[{n}]") for n, v in enumerate(payload["apex"])
-    )
-    legs = {}
-    for name in ("leg1", "leg2"):
-        table = {}
-        for key, v in _items(payload[name], f"{path}.{name}"):
-            r = _decode_key(key, f"{path}.{name} key")
-            table[r] = decode_element(v, f"{path}.{name}[{key}]")
-        legs[name] = table
-    alpha = {}
-    for key, v in _items(payload["alpha"], f"{path}.alpha"):
-        e = _decode_key(key, f"{path}.alpha key")
-        if e.kind != "pair":
-            raise DocumentError(f"{path}.alpha key {key!r}: expected a pair")
-        alpha[(e.fst, e.snd)] = decode_element(v, f"{path}.alpha[{key}]")
     tables = {}
-    for name in ("beta", "gamma"):
-        table = {}
+    for name, arity in (("leg1", 1), ("leg2", 1), ("alpha", 2), ("beta", 3), ("gamma", 3)):
+        rows = {}
         for key, v in _items(payload[name], f"{path}.{name}"):
-            e = _decode_key(key, f"{path}.{name} key")
-            if e.kind != "tuple" or len(e.items) != 3:
-                raise DocumentError(f"{path}.{name} key {key!r}: expected a three-item tuple")
-            table[(e.items[0], e.items[1], e.items[2])] = decode_element(
-                v, f"{path}.{name}[{key}]"
-            )
-        tables[name] = table
+            k = _key(table, key, arity, f"{path}.{name}")
+            rows[k[0] if arity == 1 else k] = _ref(table, v, f"{path}.{name}[{key}]")
+        tables[name] = rows
     return Simulation(
-        src=src,
-        dst=dst,
-        apex=apex,
-        leg1=legs["leg1"],
-        leg2=legs["leg2"],
-        alpha=alpha,
-        beta=tables["beta"],
-        gamma=tables["gamma"],
+        src=decode_game(payload["src"], table, f"{path}.src"),
+        dst=decode_game(payload["dst"], table, f"{path}.dst"),
+        apex=FiniteSet(_refs(table, payload["apex"], f"{path}.apex")),
+        **tables,
     )
 
 
 # -- regions and reports -----------------------------------------------------------
 
 
-def encode_region(r: Region) -> dict:
-    return {"side": r.side, "states": [encode_element(i) for i in r.states]}
+def encode_region(r: Region, ref: Callable[[Element], int]) -> dict:
+    return {"side": r.side, "states": [ref(i) for i in r.states]}
 
 
-def decode_region(payload: dict, path: str = "payload") -> Region:
+def decode_region(payload: dict, table: dict, path: str = "payload") -> Region:
     _check_fields(payload, ("side", "states"), path)
     if payload["side"] not in ("alfred", "dominic"):
         raise DocumentError(f"{path}.side: expected 'alfred' or 'dominic'")
-    if not isinstance(payload["states"], list):
-        raise DocumentError(f"{path}.states: expected a list")
     return Region(
-        side=payload["side"],
-        states=FiniteSet(
-            decode_element(v, f"{path}.states[{n}]") for n, v in enumerate(payload["states"])
-        ),
+        side=payload["side"], states=FiniteSet(_refs(table, payload["states"], f"{path}.states"))
     )
 
 
@@ -296,20 +275,25 @@ def decode_report(payload: dict, path: str = "payload") -> dict:
 
 # -- documents ----------------------------------------------------------------------
 
+_CODECS = {
+    "game": (encode_game, decode_game),
+    "simulation": (encode_simulation, decode_simulation),
+    "region": (encode_region, decode_region),
+}
+
 
 def wrap_document(kind: str, payload: dict) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
 def dump_document(kind: str, value, pretty: bool = False) -> str:
-    if kind == "game":
-        payload = encode_game(value)
-    elif kind == "simulation":
-        payload = encode_simulation(value)
-    elif kind == "region":
-        payload = encode_region(value)
-    elif kind == "report":
+    if kind == "report":
         payload = value  # already a payload dict
+    elif kind in _CODECS:
+        encode, _ = _CODECS[kind]
+        ref, rows = _writer()
+        payload = encode(value, ref)
+        payload["elements"] = rows
     else:
         raise ValueError(f"unknown document kind {kind!r}")
     doc = wrap_document(kind, payload)
@@ -328,14 +312,15 @@ def load_document(text: str):
     if raw["format_version"] != FORMAT_VERSION:
         raise DocumentError(
             f"document: unsupported format_version {raw['format_version']!r}"
+            f" (this version reads {FORMAT_VERSION})"
         )
-    kind = raw["kind"]
-    if kind == "game":
-        return kind, decode_game(raw["payload"])
-    if kind == "simulation":
-        return kind, decode_simulation(raw["payload"])
-    if kind == "region":
-        return kind, decode_region(raw["payload"])
+    kind, payload = raw["kind"], raw["payload"]
     if kind == "report":
-        return kind, decode_report(raw["payload"])
-    raise DocumentError(f"document: unknown kind {kind!r}")
+        return kind, decode_report(payload)
+    if kind not in _CODECS:
+        raise DocumentError(f"document: unknown kind {kind!r}")
+    if not isinstance(payload, dict) or "elements" not in payload:
+        raise DocumentError("payload: missing field 'elements'")
+    _, decode = _CODECS[kind]
+    table = _read_table(payload["elements"], "payload.elements")
+    return kind, decode({k: v for k, v in payload.items() if k != "elements"}, table)

@@ -286,6 +286,8 @@ def transport_square_is_pullback(
     h: Mapping[Element, Element], g: Mapping[Element, Element], k: int, rho: Mapping[Element, Element]
 ) -> bool:
     """Check commutation, content preservation, and the pullback property."""
+    if any(orbit(huw) != orbit(uw) for uw, huw in h.items()):
+        return False
     words = all_words(FiniteSet(g.keys()), k)
 
     def g_word(vw: Element) -> Element:

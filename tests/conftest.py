@@ -4,9 +4,12 @@ The helpers here are deliberately *independent* of the library internals:
 ``valid_by_definition`` re-states the simulation condition as four raw
 quantifier loops so the checker has something to be measured against, and
 ``eq`` wraps the equivalence search with a bound wide enough for every
-composite built in the tests.
+composite built in the tests.  ``dump_v1`` is the encoder of the retired
+``format_version: 1``, kept as the reference the frozen digests were taken
+with.
 """
 
+import json
 import random
 
 import pytest
@@ -138,3 +141,59 @@ def element_pool(depth: int = 3):
 @pytest.fixture
 def rng():
     return random.Random(20260822)
+
+
+# -- format_version 1, as a reference encoder -------------------------------------
+# Version 1 wrote each element as its whole term at every occurrence, and keyed
+# tables by the compact JSON text of a composite.  The frozen digests in the
+# tests were taken over these bytes; a value loaded back from a current
+# document and re-encoded here must still reproduce them.
+
+
+def encode_element_v1(e):
+    k = e.kind
+    if k == "atom":
+        return e.data
+    if k == "star":
+        return "star"
+    if k == "pair":
+        return {"pair": [encode_element_v1(x) for x in e.data]}
+    if k in ("tuple", "mset"):
+        return {k: [encode_element_v1(x) for x in e.data]}
+    return {"fun": [[encode_element_v1(a), encode_element_v1(b)] for a, b in e.data]}
+
+
+def _key_v1(*es):
+    e = es[0] if len(es) == 1 else pair(*es) if len(es) == 2 else tup(*es)
+    return json.dumps(encode_element_v1(e), sort_keys=True, separators=(",", ":"))
+
+
+def encode_game_v1(g):
+    moves, counters, nxt = {}, {}, {}
+    for i in g.states:
+        moves[_key_v1(i)] = [encode_element_v1(a) for a in g.moves[i]]
+        for a in g.moves[i]:
+            counters[_key_v1(i, a)] = [encode_element_v1(d) for d in g.counters[(i, a)]]
+            for d in g.counters[(i, a)]:
+                nxt[_key_v1(i, a, d)] = encode_element_v1(g.next[(i, a, d)])
+    return {"states": [encode_element_v1(i) for i in g.states],
+            "moves": moves, "counters": counters, "next": nxt}
+
+
+def encode_simulation_v1(s):
+    def table(rows):
+        return {_key_v1(*k) if isinstance(k, tuple) else _key_v1(k): encode_element_v1(v)
+                for k, v in rows.items()}
+
+    return {"src": encode_game_v1(s.src), "dst": encode_game_v1(s.dst),
+            "apex": [encode_element_v1(r) for r in s.apex],
+            "leg1": table(s.leg1), "leg2": table(s.leg2),
+            "alpha": table(s.alpha), "beta": table(s.beta), "gamma": table(s.gamma)}
+
+
+def dump_v1(kind, value):
+    """The compact version 1 document of a game, simulation or report."""
+    encode = {"game": encode_game_v1, "simulation": encode_simulation_v1}.get(kind)
+    doc = {"format_version": 1, "kind": kind,
+           "payload": encode(value) if encode else value}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -12,6 +12,8 @@ from polygame.laws import random_simulation
 from polygame.simulation import identity_sim
 from polygame.synthesis import max_simulation
 
+from conftest import dump_v1
+
 
 @pytest.fixture
 def runner():
@@ -190,3 +192,31 @@ def test_pretty_format_flag(runner):
     assert res.stdout.count("\n") > 3
     kind, _ = load_document(res.stdout)
     assert kind == "game"
+
+
+def test_corrupted_gamma_document_is_answered_no(runner, tmp_path):
+    # the corruption the benchmark's cli workload writes to bad.json: the first
+    # gamma row (by key text) is rerouted to another apex entry.  The document
+    # stays well-formed; only the simulation condition breaks.
+    doc = json.loads(dump_document("simulation", max_simulation(COIN, COIN), False))
+    payload = doc["payload"]
+    key = min(payload["gamma"])
+    payload["gamma"][key] = [p for p in payload["apex"] if p != payload["gamma"][key]][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    assert load_document(bad.read_text())[0] == "simulation"
+    res = invoke(runner, "check-sim", str(bad))
+    assert res.exit_code == EXIT_NO
+    _, report = load_document(res.stdout)
+    assert any("gamma" in c["details"] for c in report["checks"] if not c["ok"])
+    res = invoke(runner, "validate", str(bad))
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert "invalid simulation" in res.stderr
+
+
+def test_version_1_document_exits_one(runner, tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(dump_v1("game", COIN))
+    res = invoke(runner, "validate", str(old))
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert "format_version" in res.stderr

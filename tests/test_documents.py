@@ -6,37 +6,59 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from polygame.documents import (
-    DocumentError,
-    decode_element,
-    dump_document,
-    encode_element,
-    load_document,
-)
-from polygame.elements import atom, fun, mset, pair, star, tup
+from polygame.documents import DocumentError, dump_document, load_document
+from polygame.elements import FiniteSet, atom, star
+from polygame.exponential import comul_sim
 from polygame.fixtures import ALL_FIXTURES, COIN, TRAP
 from polygame.laws import random_game, random_simulation
-from polygame.simulation import check_simulation
-from polygame.synthesis import alfred_region, max_simulation
+from polygame.simulation import Simulation, check_simulation
+from polygame.synthesis import Region, alfred_region, max_simulation
 
-from conftest import element_pool
+from conftest import dump_v1, element_pool
 from test_elements import elements
 
 
-@hypothesis.given(elements())
-def test_element_encoding_round_trips(e):
-    assert decode_element(encode_element(e)) == e
+def region_of(*es):
+    return Region(side="alfred", states=FiniteSet(es))
 
 
-def test_element_encoding_is_json_ready():
-    for e in element_pool():
-        json.dumps(encode_element(e))
+def table_of(text):
+    return json.loads(text)["payload"]["elements"]
+
+
+def subterms(e):
+    if e.kind == "fun":
+        children = [x for kv in e.data for x in kv]
+    else:
+        children = e.data if e.kind in ("pair", "tuple", "mset") else ()
+    return {e}.union(*map(subterms, children))
+
+
+@hypothesis.given(strat.lists(elements(), max_size=4))
+def test_element_table_round_trips(es):
+    r = region_of(*es)
+    text = dump_document("region", r, False)
+    kind, back = load_document(text)
+    assert kind == "region" and back == r
+    assert dump_document("region", back, False) == text
+
+
+def test_element_table_lists_each_subterm_once_children_first():
+    pool = element_pool()
+    rows = table_of(dump_document("region", region_of(*pool), False))
+    assert len(rows) == len(set().union(*map(subterms, pool)))
+    assert len({json.dumps(row, sort_keys=True) for row in rows}) == len(rows)
+    for n, row in enumerate(rows):
+        if isinstance(row, dict):
+            (body,) = row.values()
+            refs = [i for x in body for i in (x if isinstance(x, list) else [x])]
+            assert all(type(i) is int and 0 <= i < n for i in refs), (n, row)
 
 
 def test_unit_point_prints_as_reserved_word():
-    assert encode_element(star()) == "star"
-    assert decode_element("star") == star()
-    assert decode_element("go") == atom("go")
+    text = dump_document("region", region_of(star(), atom("go")), False)
+    assert table_of(text) == ["go", "star"]
+    assert load_document(text)[1].states == FiniteSet([star(), atom("go")])
 
 
 def test_game_documents_round_trip():
@@ -55,6 +77,32 @@ def test_simulation_documents_round_trip(rng):
         assert kind == "simulation"
         assert back == s
         assert check_simulation(back) == []
+
+
+def test_shared_table_keeps_large_documents_small():
+    # version 1 wrote comul_sim(COIN, 3) in 4.24 MB, each element in full at
+    # every occurrence; with one table it is under 0.2 MB
+    s = comul_sim(COIN, 3)
+    text = dump_document("simulation", s, False)
+    assert len(text) < 200_000
+    assert load_document(text) == ("simulation", s)
+
+
+def test_table_order_does_not_depend_on_insertion_order():
+    # stray rows bring elements no game or apex holds; they must still enter
+    # the table in an order fixed by the value, not by the dicts
+    s = max_simulation(COIN, COIN)
+    strays = [((atom(f"ghost{n}"), atom("flip")), atom(f"move{n}")) for n in range(4)]
+    texts = set()
+    for rows in (strays, strays[::-1]):
+        alpha = dict(rows)
+        alpha.update(s.alpha)
+        sim = Simulation(src=s.src, dst=s.dst, apex=s.apex, leg1=s.leg1, leg2=s.leg2,
+                         alpha=alpha, beta=s.beta, gamma=s.gamma)
+        texts.add(dump_document("simulation", sim, False))
+    assert len(texts) == 1
+    text, = texts
+    assert dump_document("simulation", load_document(text)[1], False) == text
 
 
 def test_region_documents_round_trip():
@@ -95,6 +143,61 @@ def test_key_order_does_not_matter_when_loading():
     assert back == COIN
     # and re-dumping restores the canonical bytes
     assert dump_document("game", back, False) == text
+
+
+def _set(path, value):
+    def mangle(doc):
+        *parents, last = path
+        target = doc["payload"]
+        for step in parents:
+            target = target[step]
+        target[last] = value
+    return mangle
+
+
+def _rekey(table, old, new):
+    def mangle(doc):
+        rows = doc["payload"][table]
+        rows[new] = rows.pop(old)
+    return mangle
+
+
+# elements 0-4 of max_simulation(COIN, COIN) are atoms, 5-8 its apex pairs
+MALFORMED_V2 = {
+    "index out of range": (_set(("apex", 0), 9), "payload.apex[0]"),
+    "negative index": (_set(("gamma", "5,2,3"), -1), "payload.gamma[5,2,3]"),
+    "index is text": (_set(("alpha", "5,2"), "2"), "payload.alpha[5,2]"),
+    "index is a float": (_set(("src", "states", 1), 1.0), "payload.src.states[1]"),
+    "index is a bool": (_set(("leg1", "5"), True), "payload.leg1[5]"),
+    "entry points at itself": (_set(("elements", 5), {"pair": [5, 0]}),
+                               "payload.elements[5].pair[0]"),
+    "entry points later": (_set(("elements", 5), {"pair": [0, 6]}),
+                           "payload.elements[5].pair[1]"),
+    "entry index is text": (_set(("elements", 6), {"tuple": ["0"]}),
+                            "payload.elements[6].tuple[0]"),
+    "unknown composite tag": (_set(("elements", 5), {"set": [0, 1]}), "payload.elements[5]"),
+    "key with too few indices": (_rekey("beta", "5,2,3", "5,2"), "payload.beta key '5,2'"),
+    "key with too many indices": (_rekey("leg2", "6", "6,0"), "payload.leg2 key '6,0'"),
+    "key out of range": (_rekey("alpha", "8,2", "9,2"), "payload.alpha key '9,2'"),
+    "key not an index": (_rekey("alpha", "8,2", "8,x"), "payload.alpha key '8,x'"),
+    "no element table": (lambda doc: doc["payload"].pop("elements"), "payload"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+def test_malformed_v2_names_its_path(name):
+    mangle, path = MALFORMED_V2[name]
+    doc = json.loads(dump_document("simulation", max_simulation(COIN, COIN), False))
+    mangle(doc)
+    with pytest.raises(DocumentError) as info:
+        load_document(json.dumps(doc))
+    assert str(info.value).startswith(path), str(info.value)
+
+
+def test_version_1_documents_are_refused():
+    for kind, value in (("game", COIN), ("simulation", max_simulation(COIN, TRAP))):
+        with pytest.raises(DocumentError, match="format_version"):
+            load_document(dump_v1(kind, value))
 
 
 def test_malformed_documents_are_rejected():

@@ -306,3 +306,12 @@ def test_transport_square_is_pullback():
         swapped = dict(rho)
         swapped[v1], swapped[v2] = rho[v2], rho[v1]
         assert not transport_square_is_pullback(h, g, k, swapped)
+    # h must preserve content even on words no V-word maps to
+    z = atom("z")
+    words = all_words(FiniteSet([x, y, z]), 2)
+    g = {a: x, b: y}
+    rho = permutation_transport({w: w for w in words}, g, 2)
+    h = {w: w for w in words}
+    zz, zy = tup(z, z), tup(z, y)
+    h[zz], h[zy] = zy, zz
+    assert not transport_square_is_pullback(h, g, 2, rho)

@@ -30,7 +30,9 @@ def test_checks_are_report_shaped():
 
 
 # digests of the reports and documents the implementation with structural
-# (key-based) element equality and hashing produced for these inputs
+# (key-based) element equality and hashing produced for these inputs, in
+# format_version 1: each value is written and read back as a current document
+# and hashed in the reference version 1 encoding of tests/conftest.py
 FROZEN = {
     "biproduct": "bf6419e649e1803ae669e598d20cae9680d21a92283488defeec4ec00c35e821",
     "category": "23ec004890e07a81fa3f06aaf416afa8ee448d4bee3ffaf9858f47477a501ce8",
@@ -59,11 +61,41 @@ FROZEN = {
     "bang_sim": "6d95967dba77b650e41d294a636fb368becad4da66b029111fe388b263ba5fee",
 }
 
+# the same values' documents in format_version 2 (one shared element table),
+# pinned when that format was introduced
+FROZEN_V2 = {
+    "biproduct": "5f4eb1c5be5bf87ed826258d2ebb24899fb8a9d4ee42526fcf39cc5baa7f4312",
+    "category": "11a89cb04ee2a033f7cfda52ca7febda752a088e59c1b894bcaeeec0a192fb35",
+    "exponential": "1f5abf0a8a3219db95117b398f454c90abcc5ab659632c110bf5fab5c70fc9c9",
+    "monoidal": "d305b3279ea7eab7bc93184aa0683691888eab7f2e7bd23150393f141beea977",
+    "synthesis": "f874f102fdc4c3b3c10f34dd96e3751c02edcbeb4e36bd0d00e0d825213dac83",
+    "bang": "a58fd8f073a9eb60280c3ff53b00496e7bdfb382d65c407c7257a37d539dd11c",
+    "comul_sim": "7dd4ad9aba8df92c90dba1e526881281bf962bdf022ff1a496d916637ac8727a",
+    "identity_sim": "9da23d4837112c22c703a69885dc7d77485e7f94aa1677ddaaae81ae1c70371d",
+    "compose": "8942199e419c105bdc374d2ed85c7bf0803ee374557d8756e6a9f4551817bba0",
+    "add": "0ff3612c0bbad27375fd12c6598fc454da28295a728d7bfc19aba0f8f8d780b4",
+    "tensor_sim": "891980a06648f73d7e1a3681f0b8c75db4f6b4652b428990acaf71c845215cd3",
+    "curry": "2d89c925f56a3ff4ecc8e267d73d854fdd032a90d345e6f831afff84453c00ea",
+    "uncurry": "509f279e177ee570ff822b17c5a3c7fa600868d1c30816705ca37225b6bf490c",
+    "assoc": "f040987efa37ea82d2e7a97c4ffe6db3c2321c1ddb1491d50a7202541a9632e6",
+    "injection": "cdb7a262adee118aa67452385136a2aedeb2732658524e826365518d2cf135db",
+    "projection": "80a6061dc69984f07308a76a9c5ae2c529fd9f58c914f7cc82712b76c66b5181",
+    "copair": "73701337622ed32303a7e8670ec15a538dd6b9b6ae74ba0e387dcc81272a6f13",
+    "to_sim": "f5d024042862fd5da914d7556badbf0f84d56d811e169babbd5ea43c9484425a",
+    "chat": "2de5fd3df7c9b44c1ff55f978c160a4b0d58c2cbdf91eca990c1e4efd59c2800",
+    "factor_through_power": "f035446ebb6ebbf90725d3c4efa75c1d56fc78af9d1b5d01ef24f83d97be298c",
+    "dereliction_sim": "7d2fac71909fe16b1cc56e15c87be2389e44bafeebec7e36e984faf1d0e15c59",
+    "digging_sim": "453d0e45b2ecd8363d7b4bbddc484e0c865e394a39f1e8ade088e1d2c6545dfe",
+    "deriving_sim": "7f54261f0d1214143f171bb394ba399eb93d3b6b3436b1d2139a88d93f3bd776",
+    "bang_sim": "c213999b140de1340ceeaa151ac7257cf6b071ab690e670b96bc50cd48981d6c",
+}
+
 DIGESTS = """
 import hashlib
 import random
+from conftest import dump_v1
 from polygame.additive import adjoint_transpose, copair, injection, projection
-from polygame.documents import dump_document
+from polygame.documents import dump_document, load_document
 from polygame.exponential import (bang, bang_sim, chat, comul_sim, dereliction_sim,
                                   deriving_sim, digging_sim, factor_through_power,
                                   tensor_power)
@@ -73,15 +105,21 @@ from polygame.monoidal import curry, structural_iso, tensor, tensor_sim, uncurry
 from polygame.simulation import add, compose, identity_sim, underlying_span
 from polygame.synthesis import max_simulation
 
+# the version 1 and the current digest of the values' documents
+def digests(name, kind, values):
+    v1, now = hashlib.sha256(), hashlib.sha256()
+    for value in values:
+        text = dump_document(kind, value)
+        _, back = load_document(text)
+        v1.update(dump_v1(kind, back).encode())
+        now.update(text.encode())
+    print(name, v1.hexdigest(), now.hexdigest())
+
 for suite in sorted(SUITES):
-    h = hashlib.sha256()
-    for seed in (0, 11):
-        report = {"suite": suite, "seed": seed, "checks": run_suite(suite, seed)}
-        h.update(dump_document("report", report).encode())
-    print(suite, h.hexdigest())
-for name, kind, value in (("bang", "game", bang(COIN, 3)),
-                          ("comul_sim", "simulation", comul_sim(COIN, 3))):
-    print(name, hashlib.sha256(dump_document(kind, value).encode()).hexdigest())
+    digests(suite, "report", [{"suite": suite, "seed": seed, "checks": run_suite(suite, seed)}
+                              for seed in (0, 11)])
+digests("bang", "game", [bang(COIN, 3)])
+digests("comul_sim", "simulation", [comul_sim(COIN, 3)])
 
 # one small instance of every simulation builder that writes transports
 ms = max_simulation(COIN, COIN)
@@ -108,7 +146,7 @@ sims = {
     "bang_sim": bang_sim(dereliction_sim(COIN, 1), 2),
 }
 for name, s in sims.items():
-    print(name, hashlib.sha256(dump_document("simulation", s).encode()).hexdigest())
+    digests(name, "simulation", [s])
 """
 
 
@@ -116,14 +154,17 @@ for name, s in sims.items():
 # order may differ between processes; two processes under different hash
 # seeds must still print the same, pinned bytes.
 def test_outputs_frozen_across_hash_seeds():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     outputs = []
     for hash_seed in ("0", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p
+        )
         done = subprocess.run([sys.executable, "-c", DIGESTS], capture_output=True,
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        outputs.append(dict(line.split() for line in done.stdout.splitlines()))
+        outputs.append({name: rest for name, *rest in map(str.split, done.stdout.splitlines())})
     assert outputs[0] == outputs[1]
-    assert outputs[0] == FROZEN
+    assert {name: v1 for name, (v1, _) in outputs[0].items()} == FROZEN
+    assert {name: now for name, (_, now) in outputs[0].items()} == FROZEN_V2
