@@ -48,38 +48,41 @@ def _die(code: int, message: str):
     sys.exit(code)
 
 
-def _read_document(arg: str):
+def _read_document(arg: str, want: str | None = None):
+    """Parse the document at path ``arg``; refuse it unless its kind is ``want``."""
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _die(EXIT_BAD_INPUT, f"{arg}: {exc}")
     try:
-        return load_document(text)
+        kind, value = load_document(text)
     except DocumentError as exc:
         _die(EXIT_BAD_INPUT, f"{arg}: {exc}")
+    if want is not None and kind != want:
+        _die(EXIT_BAD_INPUT, f"{arg}: expected a {want} document, got {kind!r}")
+    return kind, value
+
+
+_VALIDATORS = {"game": validate_game, "simulation": check_simulation}
+
+
+def _load(arg: str, want: str | None = None):
+    """Read a document as :func:`_read_document` does, and refuse it if its
+    kind's validator finds problems."""
+    kind, value = _read_document(arg, want)
+    problems = _VALIDATORS[kind](value) if kind in _VALIDATORS else []
+    if problems:
+        _die(EXIT_BAD_INPUT, f"{arg}: invalid {kind}:\n  " + "\n  ".join(problems))
+    return kind, value
 
 
 def _load_game(arg: str) -> Game:
-    if arg in ALL_FIXTURES:
-        return ALL_FIXTURES[arg]
-    kind, value = _read_document(arg)
-    if kind != "game":
-        _die(EXIT_BAD_INPUT, f"{arg}: expected a game document, got {kind!r}")
-    problems = validate_game(value)
-    if problems:
-        _die(EXIT_BAD_INPUT, f"{arg}: invalid game:\n  " + "\n  ".join(problems))
-    return value
+    return ALL_FIXTURES[arg] if arg in ALL_FIXTURES else _load(arg, "game")[1]
 
 
 def _load_sim(arg: str) -> Simulation:
-    kind, value = _read_document(arg)
-    if kind != "simulation":
-        _die(EXIT_BAD_INPUT, f"{arg}: expected a simulation document, got {kind!r}")
-    problems = check_simulation(value)
-    if problems:
-        _die(EXIT_BAD_INPUT, f"{arg}: invalid simulation:\n  " + "\n  ".join(problems))
-    return value
+    return _load(arg, "simulation")[1]
 
 
 def _emit(kind: str, value, pretty: bool):
@@ -104,7 +107,21 @@ _max_enum_option = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place that turns a command's refusal or bad input into its
+    exit code: past a ceiling or search bound exits 2, any other ValueError
+    (mismatched endpoints, say) exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SizeRefused, SearchRefused) as exc:
+            _die(EXIT_REFUSED, str(exc))
+        except ValueError as exc:
+            _die(EXIT_BAD_INPUT, str(exc))
+
+
+@click.group(cls=_Commands)
 @click.version_option(package_name="polygame")
 def main():
     """Finite games, simulations between them, and the laws they satisfy.
@@ -119,18 +136,7 @@ def main():
 @_format_option
 def validate(path, fmt):
     """Check a document and re-emit it in canonical form."""
-    kind, value = _read_document(path)
-    if kind == "game":
-        problems = validate_game(value)
-        if problems:
-            _die(EXIT_BAD_INPUT, f"{path}: invalid game:\n  " + "\n  ".join(problems))
-    elif kind == "simulation":
-        problems = check_simulation(value)
-        if problems:
-            _die(
-                EXIT_BAD_INPUT,
-                f"{path}: invalid simulation:\n  " + "\n  ".join(problems),
-            )
+    kind, value = _load(path)
     _emit(kind, value, fmt == "pretty")
 
 
@@ -159,10 +165,7 @@ def oplus_cmd(game1, game2, fmt):
 @_max_enum_option
 def lollipop_cmd(game1, game2, fmt, max_enum):
     """The game of translations from GAME1 to GAME2."""
-    try:
-        g = lollipop(_load_game(game1), _load_game(game2), max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
+    g = lollipop(_load_game(game1), _load_game(game2), max_enum=max_enum)
     _emit("game", g, fmt == "pretty")
 
 
@@ -172,11 +175,7 @@ def lollipop_cmd(game1, game2, fmt, max_enum):
 @_max_enum_option
 def dual_cmd(game, fmt, max_enum):
     """Swap the two players by enumerating answer tables."""
-    try:
-        g = dual(_load_game(game), max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    _emit("game", g, fmt == "pretty")
+    _emit("game", dual(_load_game(game), max_enum=max_enum), fmt == "pretty")
 
 
 @main.command(name="power")
@@ -188,10 +187,7 @@ def power_cmd(game, copies, fmt, max_enum):
     """COPIES unordered copies of GAME."""
     if copies < 0:
         _die(EXIT_BAD_INPUT, "copies must be non-negative")
-    try:
-        g = power_game(_load_game(game), copies, max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
+    g = power_game(_load_game(game), copies, max_enum=max_enum)
     _emit("game", g, fmt == "pretty")
 
 
@@ -204,11 +200,7 @@ def bang_cmd(game, bound, fmt, max_enum):
     """Replays of GAME: every unordered batch of up to BOUND copies."""
     if bound < 0:
         _die(EXIT_BAD_INPUT, "bound must be non-negative")
-    try:
-        g = bang(_load_game(game), bound, max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    _emit("game", g, fmt == "pretty")
+    _emit("game", bang(_load_game(game), bound, max_enum=max_enum), fmt == "pretty")
 
 
 @main.command(name="compose")
@@ -217,13 +209,7 @@ def bang_cmd(game, bound, fmt, max_enum):
 @_format_option
 def compose_cmd(sim1, sim2, fmt):
     """Chain SIM1 after SIM2's source; i.e. run SIM1 then SIM2."""
-    s = _load_sim(sim1)
-    t = _load_sim(sim2)
-    try:
-        st = compose(s, t)
-    except ValueError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
-    _emit("simulation", st, fmt == "pretty")
+    _emit("simulation", compose(_load_sim(sim1), _load_sim(sim2)), fmt == "pretty")
 
 
 @main.command(name="check-sim")
@@ -231,17 +217,8 @@ def compose_cmd(sim1, sim2, fmt):
 @_format_option
 def check_sim_cmd(sim, fmt):
     """Re-derive every structural obligation of a simulation document."""
-    kind, value = _read_document(sim)
-    if kind != "simulation":
-        _die(EXIT_BAD_INPUT, f"{sim}: expected a simulation document, got {kind!r}")
-    problems = check_simulation(value)
-    checks = [
-        {
-            "name": "simulation-valid",
-            "ok": not problems,
-            "details": "; ".join(problems),
-        }
-    ]
+    problems = check_simulation(_read_document(sim, "simulation")[1])
+    checks = [{"name": "simulation-valid", "ok": not problems, "details": "; ".join(problems)}]
     _emit("report", {"suite": "check-sim", "seed": 0, "checks": checks}, fmt == "pretty")
     if problems:
         sys.exit(EXIT_NO)
@@ -270,19 +247,9 @@ def equiv_cmd(sim1, sim2, mode, search_bound, fmt):
     s = _load_sim(sim1)
     t = _load_sim(sim2)
     wire_mode = "full" if mode == "full" else "span_only"
-    try:
-        iso = equivalent(s, t, wire_mode, search_bound=search_bound)
-    except SearchRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    except ValueError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
-    checks = [
-        {
-            "name": f"equivalent-{mode}",
-            "ok": iso is not None,
-            "details": f"apex={len(s.apex)}",
-        }
-    ]
+    iso = equivalent(s, t, wire_mode, search_bound=search_bound)
+    details = f"apex={len(s.apex)}"
+    checks = [{"name": f"equivalent-{mode}", "ok": iso is not None, "details": details}]
     _emit("report", {"suite": "equiv", "seed": 0, "checks": checks}, fmt == "pretty")
     if iso is None:
         sys.exit(EXIT_NO)
@@ -296,15 +263,7 @@ def equiv_cmd(sim1, sim2, mode, search_bound, fmt):
 @_max_enum_option
 def curry_cmd(sim, game1, game2, fmt, max_enum):
     """Turn a simulation out of a side-by-side pair into a translation picker."""
-    s = _load_sim(sim)
-    p1 = _load_game(game1)
-    p2 = _load_game(game2)
-    try:
-        out = curry(s, p1, p2, max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    except ValueError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
+    out = curry(_load_sim(sim), _load_game(game1), _load_game(game2), max_enum=max_enum)
     _emit("simulation", out, fmt == "pretty")
 
 
@@ -316,16 +275,7 @@ def curry_cmd(sim, game1, game2, fmt, max_enum):
 @_format_option
 def uncurry_cmd(sim, game1, game2, game3, fmt):
     """Inverse of curry; recover the simulation out of the pair."""
-    s = _load_sim(sim)
-    p1 = _load_game(game1)
-    p2 = _load_game(game2)
-    p3 = _load_game(game3)
-    try:
-        out = uncurry(s, p1, p2, p3)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    except ValueError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
+    out = uncurry(_load_sim(sim), _load_game(game1), _load_game(game2), _load_game(game3))
     _emit("simulation", out, fmt == "pretty")
 
 
@@ -361,11 +311,7 @@ def synth_cmd(game, side, want_region, fmt):
 @_format_option
 def max_sim_cmd(game1, game2, fmt):
     """The largest relation-shaped simulation between two games."""
-    _emit(
-        "simulation",
-        max_simulation(_load_game(game1), _load_game(game2)),
-        fmt == "pretty",
-    )
+    _emit("simulation", max_simulation(_load_game(game1), _load_game(game2)), fmt == "pretty")
 
 
 @main.command(name="factor-power")
@@ -380,13 +326,7 @@ def factor_power_cmd(sim, game, copies, fmt, max_enum):
     g = _load_game(game)
     if copies < 0:
         _die(EXIT_BAD_INPUT, "copies must be non-negative")
-    try:
-        out = factor_through_power(s, g, copies, max_enum=max_enum)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
-    except ValueError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
-    _emit("simulation", out, fmt == "pretty")
+    _emit("simulation", factor_through_power(s, g, copies, max_enum=max_enum), fmt == "pretty")
 
 
 @main.command(name="laws")
@@ -400,10 +340,7 @@ def factor_power_cmd(sim, game, copies, fmt, max_enum):
 @_format_option
 def laws_cmd(suite, seed, fmt):
     """Run a seeded law battery and emit its report."""
-    try:
-        checks = run_suite(suite, seed)
-    except SizeRefused as exc:
-        _die(EXIT_REFUSED, str(exc))
+    checks = run_suite(suite, seed)
     _emit("report", {"suite": suite, "seed": seed, "checks": checks}, fmt == "pretty")
     gating = [c for c in checks if not c["name"].startswith("info:")]
     if any(not c["ok"] for c in gating):

@@ -282,10 +282,6 @@ _CODECS = {
 }
 
 
-def wrap_document(kind: str, payload: dict) -> dict:
-    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
-
-
 def dump_document(kind: str, value, pretty: bool = False) -> str:
     if kind == "report":
         payload = value  # already a payload dict
@@ -296,7 +292,7 @@ def dump_document(kind: str, value, pretty: bool = False) -> str:
         payload["elements"] = rows
     else:
         raise ValueError(f"unknown document kind {kind!r}")
-    doc = wrap_document(kind, payload)
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
     if pretty:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -37,10 +37,6 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 
-_RANKS = ("atom", "star", "pair", "tuple", "mset", "fun")
-_RANK_OF = {kind: n for n, kind in enumerate(_RANKS)}
-
-
 class Element:
     """One immutable term of the ground grammar.
 
@@ -312,9 +308,6 @@ class FiniteSet:
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
         return FiniteSet(self._items + other._items)
-
-
-EMPTY_SET = FiniteSet()
 
 
 def product_elements(*sets: FiniteSet) -> list[tuple[Element, ...]]:

@@ -298,18 +298,12 @@ def transport_square_is_pullback(
             return False
         if g_word(rho[vw]) != h[g_word(vw)]:
             return False
-    # the canonical map into the pullback must be a bijection
-    image = {}
-    for vw in words:
-        key = (rho[vw], g_word(vw))
-        if key in image:
-            return False
-        image[key] = vw
-    over: dict[Element, list[Element]] = {}
-    for uw, huw in h.items():
-        over.setdefault(huw, []).append(uw)
-    want = {(vw2, uw) for vw2 in words for uw in over.get(g_word(vw2), ())}
-    return set(image.keys()) == want
+    # The canonical map vw -> (rho vw, g vw) lands in the pullback (the
+    # square commutes), so it is a bijection onto it exactly when it is
+    # injective: the pullback has sum over uw of |g^-1(h uw)| points, and
+    # |g^-1(w)| depends only on the letters of w, which h keeps, so that sum
+    # is sum over uw of |g^-1(uw)| = |V^k|, the size of the image.
+    return len({(rho[vw], g_word(vw)) for vw in words}) == len(words)
 
 
 # -- factoring through the power -------------------------------------------------

@@ -68,44 +68,58 @@ def make_game(states, moves, counters, next_table) -> Game:
     return Game(states=st, moves=mv, counters=ct, next=dict(next_table))
 
 
+def _show(k) -> str:
+    """A table key as diagnostics print it: ``h``, ``(h, flip)``, ``(h, flip, x)``."""
+    return "(" + ", ".join(map(repr, k)) + ")" if isinstance(k, tuple) else repr(k)
+
+
+def check_keys(problems: list[str], expected: list, table: Mapping, missing: str, unexpected: str):
+    """Compare a table's keys with the keys a walk expects; return those present.
+
+    ``expected`` lists the keys in walk order (states, then fibers, all in
+    canonical order).  Each absent key appends ``missing`` with the key in
+    place of ``{}``, in walk order; then each key of ``table`` the walk did
+    not expect appends ``unexpected``, sorted by its printed form.  The
+    sorting happens only when such keys exist, so a valid table costs one
+    membership test per key.  Returns the present expected keys in walk
+    order, for the checks on their values.
+    """
+    present = [k for k in expected if k in table]
+    if len(present) < len(expected):
+        problems.extend(missing.format(_show(k)) for k in expected if k not in table)
+    if len(present) < len(table):
+        want = set(expected)
+        stray = sorted(_show(k) for k in table if k not in want)
+        problems.extend(unexpected.format(k) for k in stray)
+    return present
+
+
 def validate_game(g: Game) -> list[str]:
     """Return diagnostics (empty list = valid).
 
     Checks that the move table is indexed exactly by the states, the counter
     table exactly by the (state, move) pairs, the successor table exactly by
     the (state, move, counter) triples, and that every successor is a state.
+    Problems come in canonical order (see :func:`check_keys`), so the list is
+    the same in every run.
     """
     problems = []
+    states = check_keys(
+        problems, list(g.states), g.moves,
+        "state {} has no move fiber", "move fiber at non-state {}",
+    )
+    pairs = check_keys(
+        problems, [(i, a) for i in states for a in g.moves[i]], g.counters,
+        "missing counter fiber at {}", "counter fiber at unknown pair {}",
+    )
+    triples = check_keys(
+        problems, [(i, a, d) for (i, a) in pairs for d in g.counters[(i, a)]], g.next,
+        "missing successor at {}", "successor at unknown triple {}",
+    )
     state_set = set(g.states)
-    move_keys = set(g.moves.keys())
-    for i in g.states:
-        if i not in move_keys:
-            problems.append(f"state {i!r} has no move fiber")
-    for i in move_keys - state_set:
-        problems.append(f"move fiber at non-state {i!r}")
-
-    want_counter_keys = set()
-    for i in g.states:
-        for a in g.moves.get(i, ()):
-            want_counter_keys.add((i, a))
-    counter_keys = set(g.counters.keys())
-    for k in want_counter_keys - counter_keys:
-        problems.append(f"missing counter fiber at ({k[0]!r}, {k[1]!r})")
-    for k in counter_keys - want_counter_keys:
-        problems.append(f"counter fiber at unknown pair ({k[0]!r}, {k[1]!r})")
-
-    want_next_keys = set()
-    for (i, a) in want_counter_keys & counter_keys:
-        for d in g.counters[(i, a)]:
-            want_next_keys.add((i, a, d))
-    next_keys = set(g.next.keys())
-    for k in want_next_keys - next_keys:
-        problems.append(f"missing successor at {tuple(map(repr, k))}")
-    for k in next_keys - want_next_keys:
-        problems.append(f"successor at unknown triple {tuple(map(repr, k))}")
-    for k in want_next_keys & next_keys:
+    for k in triples:
         if g.next[k] not in state_set:
-            problems.append(f"successor {g.next[k]!r} of {tuple(map(repr, k))} is not a state")
+            problems.append(f"successor {g.next[k]!r} of {_show(k)} is not a state")
     return problems
 
 
@@ -125,12 +139,9 @@ class FamilySet:
 
 def validate_family(x: FamilySet) -> list[str]:
     problems = []
-    base = set(x.base)
-    keys = set(x.fibers.keys())
-    for i in base - keys:
-        problems.append(f"missing fiber at {i!r}")
-    for i in keys - base:
-        problems.append(f"fiber at non-base point {i!r}")
+    check_keys(
+        problems, list(x.base), x.fibers, "missing fiber at {}", "fiber at non-base point {}",
+    )
     return problems
 
 
@@ -176,19 +187,16 @@ class StateSpan:
 
 def validate_state_span(s: StateSpan) -> list[str]:
     problems = []
-    state_set = set(s.states)
-    for i in state_set - set(s.moves.keys()):
-        problems.append(f"state {i!r} has no edge fiber")
-    for i in set(s.moves.keys()) - state_set:
-        problems.append(f"edge fiber at non-state {i!r}")
-    want = {(i, a) for i in s.states for a in s.moves.get(i, ())}
-    have = set(s.next.keys())
-    for k in want - have:
-        problems.append(f"missing successor at ({k[0]!r}, {k[1]!r})")
-    for k in have - want:
-        problems.append(f"successor at unknown edge ({k[0]!r}, {k[1]!r})")
-    for k in want & have:
-        if s.next[k] not in state_set:
+    states = check_keys(
+        problems, list(s.states), s.moves,
+        "state {} has no edge fiber", "edge fiber at non-state {}",
+    )
+    edges = check_keys(
+        problems, [(i, a) for i in states for a in s.moves[i]], s.next,
+        "missing successor at {}", "successor at unknown edge {}",
+    )
+    for k in edges:
+        if s.next[k] not in s.states:
             problems.append(f"successor {s.next[k]!r} is not a state")
     return problems
 

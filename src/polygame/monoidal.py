@@ -259,7 +259,12 @@ def uncurry(s: Simulation, p1: Game, p2: Game, p3: Game) -> Simulation:
     """Transpose s: P1 -> (P2 -o P3) back into P1 (x) P2 -> P3.
 
     Exact inverse of :func:`curry` on the nose (same apex, same raw tables).
+    Refuses a source that is not P1, or a target not over P2's and P3's states.
     """
+    if s.src != p1:
+        raise ValueError("uncurry: src is not the given first factor")
+    if s.dst.states != FiniteSet(pair(i2, i3) for i2 in p2.states for i3 in p3.states):
+        raise ValueError("uncurry: dst is not over the states of the given factors")
 
     def move(r, a):
         f_phi = s.alpha[(r, a.fst)]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, pair
-from .games import Game
+from .games import Game, check_keys, validate_game
 from .limits import DEFAULT_SEARCH_BOUND, SearchRefused
 
 
@@ -59,69 +59,57 @@ class Simulation:
 def check_simulation(s: Simulation) -> list[str]:
     """Full validity diagnostics; empty list means s really is a simulation.
 
-    Verifies leg totality, alpha/beta/gamma keyed by exactly the right
-    triples, values landing in the right fibers, and the two successor
-    equations tying gamma to the games' tables.
+    Verifies leg totality (:func:`validate_span`), alpha/beta/gamma keyed by
+    exactly the right triples, values landing in the right fibers, and the
+    two successor equations tying gamma to the games' tables.  When a game
+    misses a row the check reads, the answer is that game's
+    :func:`~polygame.games.validate_game` problems, prefixed ``src:`` or
+    ``dst:``.  Problems come in canonical order (see
+    :func:`~polygame.games.check_keys`), so the list -- and a
+    ``polygame check-sim`` report -- is the same in every run.
     """
-    out: list[str] = []
-    apex = set(s.apex)
-    for name, leg, game in (("leg1", s.leg1, s.src), ("leg2", s.leg2, s.dst)):
-        keys = set(leg.keys())
-        for r in apex - keys:
-            out.append(f"{name} missing at {r!r}")
-        for r in keys - apex:
-            out.append(f"{name} at non-apex point {r!r}")
-        for r in keys & apex:
-            if leg[r] not in game.states:
-                out.append(f"{name}({r!r}) = {leg[r]!r} is not a state")
+    out = validate_span(underlying_span(s))
     if out:
         return out  # keys below would all be noise
+    src, dst, leg1, leg2 = s.src, s.dst, s.leg1, s.leg2
+    try:
+        alphas = check_keys(
+            out, [(r, a1) for r in s.apex for a1 in src.moves[leg1[r]]], s.alpha,
+            "alpha missing at {}", "alpha at unexpected key {}",
+        )
+        rest = []
+        for r, a1 in alphas:
+            a2 = s.alpha[(r, a1)]
+            i2 = leg2[r]
+            if a2 in dst.moves[i2]:
+                rest.extend((r, a1, d2) for d2 in dst.counters[(i2, a2)])
+            else:
+                out.append(f"alpha({r!r}, {a1!r}) = {a2!r} is not a move at {i2!r}")
+        betas = check_keys(out, rest, s.beta, "beta missing at {}", "beta at unexpected key {}")
+        check_keys(out, rest, s.gamma, "gamma missing at {}", "gamma at unexpected key {}")
 
-    want_alpha = set()
-    for r in s.apex:
-        for a1 in s.src.moves_at(s.leg1[r]):
-            want_alpha.add((r, a1))
-    have_alpha = set(s.alpha.keys())
-    for k in want_alpha - have_alpha:
-        out.append(f"alpha missing at ({k[0]!r}, {k[1]!r})")
-    for k in have_alpha - want_alpha:
-        out.append(f"alpha at unexpected key ({k[0]!r}, {k[1]!r})")
-    bad_alpha = set()
-    for (r, a1) in want_alpha & have_alpha:
-        a2 = s.alpha[(r, a1)]
-        if a2 not in s.dst.moves_at(s.leg2[r]):
-            out.append(f"alpha({r!r}, {a1!r}) = {a2!r} is not a move at {s.leg2[r]!r}")
-            bad_alpha.add((r, a1))
-
-    want_rest = set()
-    for (r, a1) in (want_alpha & have_alpha) - bad_alpha:
-        a2 = s.alpha[(r, a1)]
-        for d2 in s.dst.counters_at(s.leg2[r], a2):
-            want_rest.add((r, a1, d2))
-    for table, name in ((s.beta, "beta"), (s.gamma, "gamma")):
-        have = set(table.keys())
-        for k in want_rest - have:
-            out.append(f"{name} missing at ({k[0]!r}, {k[1]!r}, {k[2]!r})")
-        for k in have - want_rest:
-            out.append(f"{name} at unexpected key ({k[0]!r}, {k[1]!r}, {k[2]!r})")
-
-    for k in want_rest & set(s.beta.keys()) & set(s.gamma.keys()):
-        r, a1, d2 = k
-        a2 = s.alpha[(r, a1)]
-        d1 = s.beta[k]
-        if d1 not in s.src.counters_at(s.leg1[r], a1):
-            out.append(f"beta{k!r} = {d1!r} is not a counter to {a1!r}")
-            continue
-        g = s.gamma[k]
-        if g not in apex:
-            out.append(f"gamma{k!r} = {g!r} is not an apex point")
-            continue
-        want1 = s.src.next_state(s.leg1[r], a1, d1)
-        want2 = s.dst.next_state(s.leg2[r], a2, d2)
-        if s.leg1[g] != want1:
-            out.append(f"gamma{k!r}: leg1 lands at {s.leg1[g]!r}, play lands at {want1!r}")
-        if s.leg2[g] != want2:
-            out.append(f"gamma{k!r}: leg2 lands at {s.leg2[g]!r}, play lands at {want2!r}")
+        apex = set(s.apex)
+        for k in betas:
+            if k not in s.gamma:
+                continue
+            r, a1, d2 = k
+            d1 = s.beta[k]
+            if d1 not in src.counters[(leg1[r], a1)]:
+                out.append(f"beta{k!r} = {d1!r} is not a counter to {a1!r}")
+                continue
+            g = s.gamma[k]
+            if g not in apex:
+                out.append(f"gamma{k!r} = {g!r} is not an apex point")
+                continue
+            want1 = src.next[(leg1[r], a1, d1)]
+            want2 = dst.next[(leg2[r], s.alpha[(r, a1)], d2)]
+            if leg1[g] != want1:
+                out.append(f"gamma{k!r}: leg1 lands at {leg1[g]!r}, play lands at {want1!r}")
+            if leg2[g] != want2:
+                out.append(f"gamma{k!r}: leg2 lands at {leg2[g]!r}, play lands at {want2!r}")
+    except KeyError:  # only a game's table can miss: every other read is checked first
+        games = (("src", src), ("dst", dst))
+        return [f"{side}: {p}" for side, g in games for p in validate_game(g)]
     return out
 
 
@@ -422,17 +410,13 @@ class Span:
 
 
 def validate_span(s: Span) -> list[str]:
+    """Diagnostics for the legs, in canonical order (empty list = valid)."""
     out = []
-    apex = set(s.apex)
     for name, leg, base in (("leg1", s.leg1, s.src), ("leg2", s.leg2, s.dst)):
-        keys = set(leg.keys())
-        for r in apex - keys:
-            out.append(f"{name} missing at {r!r}")
-        for r in keys - apex:
-            out.append(f"{name} at non-apex point {r!r}")
-        for r in keys & apex:
+        missing, stray = name + " missing at {}", name + " at non-apex point {}"
+        for r in check_keys(out, list(s.apex), leg, missing, stray):
             if leg[r] not in base:
-                out.append(f"{name}({r!r}) not in base")
+                out.append(f"{name}({r!r}) = {leg[r]!r} is not in base")
     return out
 
 

@@ -62,6 +62,10 @@ def test_missing_file_and_bad_document_exit_one(runner, tmp_path):
     bad.write_text("{\"nope\": 1}")
     res = invoke(runner, "validate", str(bad))
     assert res.exit_code == EXIT_BAD_INPUT
+    bad.write_bytes(b"\xff")
+    res = invoke(runner, "validate", str(bad))
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert res.stderr.startswith(f"{bad}: ")
 
 
 def test_usage_error_exits_one(runner):
@@ -119,13 +123,6 @@ def test_compose_pipeline(runner, tmp_path):
     assert res.exit_code == 0
     kind, out = load_document(res.stdout)
     assert kind == "simulation" and len(out.apex) == 4
-
-
-def test_compose_mismatch_exits_one(runner, tmp_path):
-    s = write(tmp_path, "s.json", "simulation", identity_sim(COIN))
-    t = write(tmp_path, "t.json", "simulation", identity_sim(TRAP))
-    res = invoke(runner, "compose", s, t)
-    assert res.exit_code == EXIT_BAD_INPUT
 
 
 def test_synth_and_regions(runner):
@@ -220,3 +217,47 @@ def test_version_1_document_exits_one(runner, tmp_path):
     res = invoke(runner, "validate", str(old))
     assert res.exit_code == EXIT_BAD_INPUT
     assert "format_version" in res.stderr
+
+
+@pytest.fixture
+def sims(tmp_path, rng):
+    """Simulation documents the commands below read, by name."""
+    from polygame.exponential import tensor_power
+    from polygame.monoidal import tensor
+
+    return {
+        "pair_to_trap": write(tmp_path, "s.json", "simulation",
+                              random_simulation(rng, tensor(COIN, UNIT), TRAP)),
+        "id_coin2": write(tmp_path, "p.json", "simulation", identity_sim(tensor_power(COIN, 2))),
+        "id_coin": write(tmp_path, "c.json", "simulation", identity_sim(COIN)),
+        "id_trap": write(tmp_path, "t.json", "simulation", identity_sim(TRAP)),
+    }
+
+
+@pytest.mark.parametrize("args", [
+    ["lollipop", "coin", "trap"],
+    ["dual", "coin"],
+    ["power", "coin", "2"],
+    ["bang", "coin", "2"],
+    ["curry", "{pair_to_trap}", "coin", "unit"],
+    ["factor-power", "{id_coin2}", "coin", "--copies", "2"],
+], ids=lambda args: args[0])
+def test_every_builder_refuses_past_the_ceiling(runner, sims, args):
+    res = invoke(runner, *(a.format(**sims) for a in args), "--max-enum", "1")
+    assert res.exit_code == EXIT_REFUSED, res.stderr
+    assert "ceiling" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["compose", "{id_coin}", "{id_trap}"], "compose: s.dst and t.src are different games"),
+    (["curry", "{id_coin}", "coin", "unit"], "curry: src is not the tensor of the given factors"),
+    (["uncurry", "{id_coin}", "coin", "unit", "trap"],
+     "uncurry: dst is not over the states of the given factors"),
+    (["uncurry", "{id_coin}", "trap", "unit", "coin"], "uncurry: src is not the given first factor"),
+    (["factor-power", "{id_coin}", "coin", "--copies", "2"],
+     "factor_through_power: target is not the ordered power"),
+], ids=["compose", "curry", "uncurry-dst", "uncurry-src", "factor-power"])
+def test_endpoint_mismatch_exits_one_with_its_message(runner, sims, args, message):
+    res = invoke(runner, *(a.format(**sims) for a in args))
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert res.stderr == message + "\n"

@@ -306,6 +306,11 @@ def test_transport_square_is_pullback():
         swapped = dict(rho)
         swapped[v1], swapped[v2] = rho[v2], rho[v1]
         assert not transport_square_is_pullback(h, g, k, swapped)
+    # h need not be injective: xy and yx both going to xy keeps the pullback
+    h = on_words(2, lambda w: w)
+    h[tup(y, x)] = tup(x, y)
+    g = {a: x, b: y}
+    assert transport_square_is_pullback(h, g, 2, permutation_transport(h, g, 2))
     # h must preserve content even on words no V-word maps to
     z = atom("z")
     words = all_words(FiniteSet([x, y, z]), 2)

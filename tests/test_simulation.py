@@ -9,6 +9,7 @@ import pytest
 from polygame.additive import adjoint_transpose
 from polygame.elements import FiniteSet, atom, pair
 from polygame.fixtures import COIN, ONEWAY, TRAP, UNIT
+from polygame.games import Game
 from polygame.laws import random_simulation
 from polygame.limits import SearchRefused
 from polygame.simulation import (
@@ -66,6 +67,17 @@ def test_checker_names_the_offending_row(rng):
     )
     problems = check_simulation(bad)
     assert problems and all(isinstance(p, str) for p in problems)
+
+
+def test_checker_reports_an_invalid_game_instead_of_raising():
+    s = identity_sim(COIN)
+    h = COIN.states.items[0]
+    moves = {i: f for i, f in COIN.moves.items() if i != h}
+    src = Game(COIN.states, moves, COIN.counters, COIN.next)
+    bad = Simulation(src, s.dst, s.apex, s.leg1, s.leg2, s.alpha, s.beta, s.gamma)
+    problems = check_simulation(bad)
+    assert problems[0] == f"src: state {h!r} has no move fiber"
+    assert all(p.startswith("src: ") for p in problems)
 
 
 def test_compose_soundness_fuzzed(rng):
