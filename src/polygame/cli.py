@@ -6,25 +6,25 @@ writes a single document to stdout.  Output is deterministic byte for byte:
 same inputs, same bytes.  Diagnostics go to stderr.
 
 Exit codes: 0 success; 1 bad input (unparsable document, failed validation,
-mismatched endpoints); 2 construction refused (an enumeration or search
-ceiling was hit); 3 the answer is "no" (a law check failed, a simulation is
-invalid, two spans are not equivalent).
+mismatched endpoints, a malformed command line); 2 construction refused (an
+enumeration or search ceiling was hit); 3 the answer is "no" (a law check
+failed, a simulation is invalid, two spans are not equivalent).
+
+The parser is the standard library's ``argparse``, and each command imports
+the builders it runs inside its body, so a call loads only what its command
+needs.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-import click
-
+from . import __version__
 from .documents import DocumentError, dump_document, load_document
-from .exponential import bang, factor_through_power, power_game
 from .fixtures import ALL_FIXTURES
 from .games import Game, validate_game
-from .laws import SUITES, run_suite
 from .limits import DEFAULT_MAX_ENUM, DEFAULT_SEARCH_BOUND, SearchRefused, SizeRefused
-from .monoidal import curry, dual, lollipop, tensor, uncurry
-from .additive import oplus
 from .simulation import Simulation, check_simulation, compose, equivalent
 from .synthesis import (
     alfred_region,
@@ -38,13 +38,9 @@ EXIT_BAD_INPUT = 1
 EXIT_REFUSED = 2
 EXIT_NO = 3
 
-# click exits 2 on malformed command lines, which would collide with
-# EXIT_REFUSED; a bad invocation is bad input, same as a bad document.
-click.UsageError.exit_code = EXIT_BAD_INPUT
-
 
 def _die(code: int, message: str):
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
@@ -85,267 +81,259 @@ def _load_sim(arg: str) -> Simulation:
     return _load(arg, "simulation")[1]
 
 
-def _emit(kind: str, value, pretty: bool):
-    click.echo(dump_document(kind, value, pretty=pretty), nl=False)
+def _emit(kind: str, value, a: argparse.Namespace):
+    sys.stdout.write(dump_document(kind, value, pretty=a.format == "pretty"))
 
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["compact", "pretty"]),
-    default="compact",
-    show_default=True,
-    help="JSON layout of the emitted document.",
-)
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is bad input and exits 1: argparse's own 2
+    would collide with EXIT_REFUSED.  Options are never abbreviated."""
 
-_max_enum_option = click.option(
-    "--max-enum",
-    type=int,
-    default=DEFAULT_MAX_ENUM,
-    show_default=True,
-    help="Refuse constructions that would enumerate more entries than this.",
-)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _die(EXIT_BAD_INPUT, f"{self.prog}: error: {message}")
 
 
-class _Commands(click.Group):
-    """The one place that turns a command's refusal or bad input into its
-    exit code: past a ceiling or search bound exits 2, any other ValueError
-    (mismatched endpoints, say) exits 1."""
+_MAX_ENUM = ("--max-enum", dict(
+    type=int, default=DEFAULT_MAX_ENUM,
+    help="Refuse constructions that would enumerate more entries than this "
+         "(default: %(default)s).",
+))
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (SizeRefused, SearchRefused) as exc:
-            _die(EXIT_REFUSED, str(exc))
-        except ValueError as exc:
-            _die(EXIT_BAD_INPUT, str(exc))
+# command name -> (function, arguments); an argument is a positional name or
+# a (flag, add_argument keywords) pair, and every command takes --format.
+_COMMANDS: dict = {}
 
 
-@click.group(cls=_Commands)
-@click.version_option(package_name="polygame")
-def main():
-    """Finite games, simulations between them, and the laws they satisfy.
-
-    GAME arguments accept either a path to a game document or one of the
-    built-in fixtures: unit, coin, trap, oneway, empty.
-    """
+def _command(name: str, *arguments):
+    def register(fn):
+        _COMMANDS[name] = (fn, arguments)
+        return fn
+    return register
 
 
-@main.command()
-@click.argument("path")
-@_format_option
-def validate(path, fmt):
+@_command("validate", "path")
+def _validate(a):
     """Check a document and re-emit it in canonical form."""
-    kind, value = _load(path)
-    _emit(kind, value, fmt == "pretty")
+    _emit(*_load(a.path), a)
 
 
-@main.command(name="tensor")
-@click.argument("game1")
-@click.argument("game2")
-@_format_option
-def tensor_cmd(game1, game2, fmt):
+@_command("tensor", "game1", "game2")
+def _tensor(a):
     """Both games side by side, one move in each."""
-    _emit("game", tensor(_load_game(game1), _load_game(game2)), fmt == "pretty")
+    from .monoidal import tensor
+
+    _emit("game", tensor(_load_game(a.game1), _load_game(a.game2)), a)
 
 
-@main.command(name="oplus")
-@click.argument("game1")
-@click.argument("game2")
-@_format_option
-def oplus_cmd(game1, game2, fmt):
+@_command("oplus", "game1", "game2")
+def _oplus(a):
     """Tagged choice of two games."""
-    _emit("game", oplus(_load_game(game1), _load_game(game2)), fmt == "pretty")
+    from .additive import oplus
+
+    _emit("game", oplus(_load_game(a.game1), _load_game(a.game2)), a)
 
 
-@main.command(name="lollipop")
-@click.argument("game1")
-@click.argument("game2")
-@_format_option
-@_max_enum_option
-def lollipop_cmd(game1, game2, fmt, max_enum):
+@_command("lollipop", "game1", "game2", _MAX_ENUM)
+def _lollipop(a):
     """The game of translations from GAME1 to GAME2."""
-    g = lollipop(_load_game(game1), _load_game(game2), max_enum=max_enum)
-    _emit("game", g, fmt == "pretty")
+    from .monoidal import lollipop
+
+    _emit("game", lollipop(_load_game(a.game1), _load_game(a.game2), max_enum=a.max_enum), a)
 
 
-@main.command(name="dual")
-@click.argument("game")
-@_format_option
-@_max_enum_option
-def dual_cmd(game, fmt, max_enum):
+@_command("dual", "game", _MAX_ENUM)
+def _dual(a):
     """Swap the two players by enumerating answer tables."""
-    _emit("game", dual(_load_game(game), max_enum=max_enum), fmt == "pretty")
+    from .monoidal import dual
+
+    _emit("game", dual(_load_game(a.game), max_enum=a.max_enum), a)
 
 
-@main.command(name="power")
-@click.argument("game")
-@click.argument("copies", type=int)
-@_format_option
-@_max_enum_option
-def power_cmd(game, copies, fmt, max_enum):
+@_command("power", "game", ("copies", dict(type=int)), _MAX_ENUM)
+def _power(a):
     """COPIES unordered copies of GAME."""
-    if copies < 0:
+    from .exponential import power_game
+
+    if a.copies < 0:
         _die(EXIT_BAD_INPUT, "copies must be non-negative")
-    g = power_game(_load_game(game), copies, max_enum=max_enum)
-    _emit("game", g, fmt == "pretty")
+    _emit("game", power_game(_load_game(a.game), a.copies, max_enum=a.max_enum), a)
 
 
-@main.command(name="bang")
-@click.argument("game")
-@click.argument("bound", type=int)
-@_format_option
-@_max_enum_option
-def bang_cmd(game, bound, fmt, max_enum):
+@_command("bang", "game", ("bound", dict(type=int)), _MAX_ENUM)
+def _bang(a):
     """Replays of GAME: every unordered batch of up to BOUND copies."""
-    if bound < 0:
+    from .exponential import bang
+
+    if a.bound < 0:
         _die(EXIT_BAD_INPUT, "bound must be non-negative")
-    _emit("game", bang(_load_game(game), bound, max_enum=max_enum), fmt == "pretty")
+    _emit("game", bang(_load_game(a.game), a.bound, max_enum=a.max_enum), a)
 
 
-@main.command(name="compose")
-@click.argument("sim1")
-@click.argument("sim2")
-@_format_option
-def compose_cmd(sim1, sim2, fmt):
+@_command("compose", "sim1", "sim2")
+def _compose(a):
     """Chain SIM1 after SIM2's source; i.e. run SIM1 then SIM2."""
-    _emit("simulation", compose(_load_sim(sim1), _load_sim(sim2)), fmt == "pretty")
+    _emit("simulation", compose(_load_sim(a.sim1), _load_sim(a.sim2)), a)
 
 
-@main.command(name="check-sim")
-@click.argument("sim")
-@_format_option
-def check_sim_cmd(sim, fmt):
+@_command("check-sim", "sim")
+def _check_sim(a):
     """Re-derive every structural obligation of a simulation document."""
-    problems = check_simulation(_read_document(sim, "simulation")[1])
+    problems = check_simulation(_read_document(a.sim, "simulation")[1])
     checks = [{"name": "simulation-valid", "ok": not problems, "details": "; ".join(problems)}]
-    _emit("report", {"suite": "check-sim", "seed": 0, "checks": checks}, fmt == "pretty")
+    _emit("report", {"suite": "check-sim", "seed": 0, "checks": checks}, a)
     if problems:
         sys.exit(EXIT_NO)
 
 
-@main.command(name="equiv")
-@click.argument("sim1")
-@click.argument("sim2")
-@click.option(
-    "--mode",
-    type=click.Choice(["full", "span"]),
-    default="full",
-    show_default=True,
-    help="full compares transports as well; span compares apexes over legs only.",
+@_command(
+    "equiv", "sim1", "sim2",
+    ("--mode", dict(choices=("full", "span"), default="full",
+                    help="full compares transports as well; span compares apexes over "
+                         "legs only (default: %(default)s).")),
+    ("--search-bound", dict(type=int, default=DEFAULT_SEARCH_BOUND,
+                            help="Refuse the bijection search above this apex size "
+                                 "(default: %(default)s).")),
 )
-@click.option(
-    "--search-bound",
-    type=int,
-    default=DEFAULT_SEARCH_BOUND,
-    show_default=True,
-    help="Refuse the bijection search above this apex size.",
-)
-@_format_option
-def equiv_cmd(sim1, sim2, mode, search_bound, fmt):
+def _equiv(a):
     """Search for an apex bijection identifying two parallel simulations."""
-    s = _load_sim(sim1)
-    t = _load_sim(sim2)
-    wire_mode = "full" if mode == "full" else "span_only"
-    iso = equivalent(s, t, wire_mode, search_bound=search_bound)
+    s = _load_sim(a.sim1)
+    t = _load_sim(a.sim2)
+    wire_mode = "full" if a.mode == "full" else "span_only"
+    iso = equivalent(s, t, wire_mode, search_bound=a.search_bound)
     details = f"apex={len(s.apex)}"
-    checks = [{"name": f"equivalent-{mode}", "ok": iso is not None, "details": details}]
-    _emit("report", {"suite": "equiv", "seed": 0, "checks": checks}, fmt == "pretty")
+    checks = [{"name": f"equivalent-{a.mode}", "ok": iso is not None, "details": details}]
+    _emit("report", {"suite": "equiv", "seed": 0, "checks": checks}, a)
     if iso is None:
         sys.exit(EXIT_NO)
 
 
-@main.command(name="curry")
-@click.argument("sim")
-@click.argument("game1")
-@click.argument("game2")
-@_format_option
-@_max_enum_option
-def curry_cmd(sim, game1, game2, fmt, max_enum):
+@_command("curry", "sim", "game1", "game2", _MAX_ENUM)
+def _curry(a):
     """Turn a simulation out of a side-by-side pair into a translation picker."""
-    out = curry(_load_sim(sim), _load_game(game1), _load_game(game2), max_enum=max_enum)
-    _emit("simulation", out, fmt == "pretty")
+    from .monoidal import curry
+
+    g1, g2 = _load_game(a.game1), _load_game(a.game2)
+    _emit("simulation", curry(_load_sim(a.sim), g1, g2, max_enum=a.max_enum), a)
 
 
-@main.command(name="uncurry")
-@click.argument("sim")
-@click.argument("game1")
-@click.argument("game2")
-@click.argument("game3")
-@_format_option
-def uncurry_cmd(sim, game1, game2, game3, fmt):
+@_command("uncurry", "sim", "game1", "game2", "game3")
+def _uncurry(a):
     """Inverse of curry; recover the simulation out of the pair."""
-    out = uncurry(_load_sim(sim), _load_game(game1), _load_game(game2), _load_game(game3))
-    _emit("simulation", out, fmt == "pretty")
+    from .monoidal import uncurry
+
+    games = [_load_game(g) for g in (a.game1, a.game2, a.game3)]
+    _emit("simulation", uncurry(_load_sim(a.sim), *games), a)
 
 
-@main.command(name="synth")
-@click.argument("game")
-@click.option(
-    "--side",
-    type=click.Choice(["alfred", "dominic"]),
-    required=True,
-    help="Which player a strategy is synthesised for.",
+@_command(
+    "synth", "game",
+    ("--side", dict(choices=("alfred", "dominic"), required=True,
+                    help="Which player a strategy is synthesised for.")),
+    ("--region", dict(action="store_true",
+                      help="Emit the winning region instead of a strategy simulation.")),
 )
-@click.option(
-    "--region",
-    "want_region",
-    is_flag=True,
-    help="Emit the winning region instead of a strategy simulation.",
-)
-@_format_option
-def synth_cmd(game, side, want_region, fmt):
+def _synth(a):
     """Largest winning region and a canonical strategy over it."""
-    g = _load_game(game)
-    if want_region:
-        region = alfred_region(g) if side == "alfred" else dominic_region(g)
-        _emit("region", region, fmt == "pretty")
+    g = _load_game(a.game)
+    if a.region:
+        _emit("region", alfred_region(g) if a.side == "alfred" else dominic_region(g), a)
         return
-    strat = alfred_strategy(g) if side == "alfred" else dominic_strategy(g)
-    _emit("simulation", strat, fmt == "pretty")
+    _emit("simulation", alfred_strategy(g) if a.side == "alfred" else dominic_strategy(g), a)
 
 
-@main.command(name="max-sim")
-@click.argument("game1")
-@click.argument("game2")
-@_format_option
-def max_sim_cmd(game1, game2, fmt):
+@_command("max-sim", "game1", "game2")
+def _max_sim(a):
     """The largest relation-shaped simulation between two games."""
-    _emit("simulation", max_simulation(_load_game(game1), _load_game(game2)), fmt == "pretty")
+    _emit("simulation", max_simulation(_load_game(a.game1), _load_game(a.game2)), a)
 
 
-@main.command(name="factor-power")
-@click.argument("sim")
-@click.argument("game")
-@click.option("--copies", type=int, required=True, help="How many ordered copies SIM targets.")
-@_format_option
-@_max_enum_option
-def factor_power_cmd(sim, game, copies, fmt, max_enum):
-    """Push a reshuffle-invariant map to ordered copies down to the unordered power."""
-    s = _load_sim(sim)
-    g = _load_game(game)
-    if copies < 0:
-        _die(EXIT_BAD_INPUT, "copies must be non-negative")
-    _emit("simulation", factor_through_power(s, g, copies, max_enum=max_enum), fmt == "pretty")
-
-
-@main.command(name="laws")
-@click.option(
-    "--suite",
-    type=click.Choice(sorted(SUITES)),
-    required=True,
-    help="Which battery of checks to run.",
+@_command(
+    "factor-power", "sim", "game",
+    ("--copies", dict(type=int, required=True, help="How many ordered copies SIM targets.")),
+    _MAX_ENUM,
 )
-@click.option("--seed", type=int, default=0, show_default=True)
-@_format_option
-def laws_cmd(suite, seed, fmt):
+def _factor_power(a):
+    """Push a reshuffle-invariant map to ordered copies down to the unordered power."""
+    from .exponential import factor_through_power
+
+    s = _load_sim(a.sim)
+    g = _load_game(a.game)
+    if a.copies < 0:
+        _die(EXIT_BAD_INPUT, "copies must be non-negative")
+    _emit("simulation", factor_through_power(s, g, a.copies, max_enum=a.max_enum), a)
+
+
+@_command(
+    "laws",
+    ("--suite", dict(required=True, help="Which battery of checks to run: category, "
+                                         "monoidal, biproduct, exponential or synthesis.")),
+    ("--seed", dict(type=int, default=0,
+                    help="Seed of the battery's random inputs (default: %(default)s).")),
+)
+def _laws(a):
     """Run a seeded law battery and emit its report."""
-    checks = run_suite(suite, seed)
-    _emit("report", {"suite": suite, "seed": seed, "checks": checks}, fmt == "pretty")
+    from .laws import run_suite
+
+    checks = run_suite(a.suite, a.seed)
+    _emit("report", {"suite": a.suite, "seed": a.seed, "checks": checks}, a)
     gating = [c for c in checks if not c["name"].startswith("info:")]
     if any(not c["ok"] for c in gating):
         sys.exit(EXIT_NO)
 
 
+def _parse(argv: list[str]):
+    """The command named first in ``argv`` and its parsed arguments.
+
+    Only that command's parser is built: the top level reads just the first
+    word (or ``--help``/``--version``) and lists the commands in its help.
+    """
+    top = _Parser(
+        prog="polygame",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Finite games, simulations between them, and the laws they satisfy.\n\n"
+                    "GAME arguments accept either a path to a game document or one of the\n"
+                    "built-in fixtures: unit, coin, trap, oneway, empty.",
+        epilog="commands:\n" + "\n".join(f"  {name:<14}{fn.__doc__}"
+                                          for name, (fn, _) in _COMMANDS.items()),
+    )
+    top.add_argument("--version", action="version", version=f"polygame, version {__version__}")
+    top.add_argument("command", choices=_COMMANDS, metavar="COMMAND")
+    name = top.parse_args(argv[:1]).command
+    fn, arguments = _COMMANDS[name]
+    sub = _Parser(prog=f"polygame {name}", description=fn.__doc__)
+    for arg in arguments:
+        flag, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        if not flag.startswith("-"):
+            kwargs = dict(kwargs, metavar=flag.upper())
+        sub.add_argument(flag, **kwargs)
+    sub.add_argument("--format", choices=("compact", "pretty"), default="compact",
+                     help="JSON layout of the emitted document (default: %(default)s).")
+    return fn, sub.parse_args(argv[1:])
+
+
+def main(args=None, standalone_mode: bool = True):
+    """Run one command line (``sys.argv[1:]`` when ``args`` is None).
+
+    The one place that turns a command's refusal or bad input into its exit
+    code: past a ceiling or search bound exits 2, any other ValueError
+    (mismatched endpoints, an unknown suite) exits 1.  A failing call always
+    raises SystemExit; a successful one exits 0 in ``standalone_mode`` and
+    returns otherwise.
+    """
+    run, a = _parse(sys.argv[1:] if args is None else list(args))
+    try:
+        run(a)
+    except (SizeRefused, SearchRefused) as exc:
+        _die(EXIT_REFUSED, str(exc))
+    except ValueError as exc:
+        _die(EXIT_BAD_INPUT, str(exc))
+    if standalone_mode:
+        sys.exit(0)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -59,57 +59,56 @@ class Simulation:
 def check_simulation(s: Simulation) -> list[str]:
     """Full validity diagnostics; empty list means s really is a simulation.
 
-    Verifies leg totality (:func:`validate_span`), alpha/beta/gamma keyed by
-    exactly the right triples, values landing in the right fibers, and the
-    two successor equations tying gamma to the games' tables.  When a game
-    misses a row the check reads, the answer is that game's
-    :func:`~polygame.games.validate_game` problems, prefixed ``src:`` or
-    ``dst:``.  Problems come in canonical order (see
-    :func:`~polygame.games.check_keys`), so the list -- and a
+    First the two games: any :func:`~polygame.games.validate_game` problem
+    of either is the answer, prefixed ``src:`` or ``dst:``.  Then leg
+    totality (:func:`validate_span`), alpha/beta/gamma keyed by exactly the
+    right triples, values landing in the right fibers, and the two successor
+    equations tying gamma to the games' tables.  Problems come in canonical
+    order (see :func:`~polygame.games.check_keys`), so the list -- and a
     ``polygame check-sim`` report -- is the same in every run.
     """
+    out = [f"{side}: {p}" for side, g in (("src", s.src), ("dst", s.dst))
+           for p in validate_game(g)]
+    if out:
+        return out  # every read below trusts the games' tables
     out = validate_span(underlying_span(s))
     if out:
         return out  # keys below would all be noise
     src, dst, leg1, leg2 = s.src, s.dst, s.leg1, s.leg2
-    try:
-        alphas = check_keys(
-            out, [(r, a1) for r in s.apex for a1 in src.moves[leg1[r]]], s.alpha,
-            "alpha missing at {}", "alpha at unexpected key {}",
-        )
-        rest = []
-        for r, a1 in alphas:
-            a2 = s.alpha[(r, a1)]
-            i2 = leg2[r]
-            if a2 in dst.moves[i2]:
-                rest.extend((r, a1, d2) for d2 in dst.counters[(i2, a2)])
-            else:
-                out.append(f"alpha({r!r}, {a1!r}) = {a2!r} is not a move at {i2!r}")
-        betas = check_keys(out, rest, s.beta, "beta missing at {}", "beta at unexpected key {}")
-        check_keys(out, rest, s.gamma, "gamma missing at {}", "gamma at unexpected key {}")
+    alphas = check_keys(
+        out, [(r, a1) for r in s.apex for a1 in src.moves[leg1[r]]], s.alpha,
+        "alpha missing at {}", "alpha at unexpected key {}",
+    )
+    rest = []
+    for r, a1 in alphas:
+        a2 = s.alpha[(r, a1)]
+        i2 = leg2[r]
+        if a2 in dst.moves[i2]:
+            rest.extend((r, a1, d2) for d2 in dst.counters[(i2, a2)])
+        else:
+            out.append(f"alpha({r!r}, {a1!r}) = {a2!r} is not a move at {i2!r}")
+    betas = check_keys(out, rest, s.beta, "beta missing at {}", "beta at unexpected key {}")
+    check_keys(out, rest, s.gamma, "gamma missing at {}", "gamma at unexpected key {}")
 
-        apex = set(s.apex)
-        for k in betas:
-            if k not in s.gamma:
-                continue
-            r, a1, d2 = k
-            d1 = s.beta[k]
-            if d1 not in src.counters[(leg1[r], a1)]:
-                out.append(f"beta{k!r} = {d1!r} is not a counter to {a1!r}")
-                continue
-            g = s.gamma[k]
-            if g not in apex:
-                out.append(f"gamma{k!r} = {g!r} is not an apex point")
-                continue
-            want1 = src.next[(leg1[r], a1, d1)]
-            want2 = dst.next[(leg2[r], s.alpha[(r, a1)], d2)]
-            if leg1[g] != want1:
-                out.append(f"gamma{k!r}: leg1 lands at {leg1[g]!r}, play lands at {want1!r}")
-            if leg2[g] != want2:
-                out.append(f"gamma{k!r}: leg2 lands at {leg2[g]!r}, play lands at {want2!r}")
-    except KeyError:  # only a game's table can miss: every other read is checked first
-        games = (("src", src), ("dst", dst))
-        return [f"{side}: {p}" for side, g in games for p in validate_game(g)]
+    apex = set(s.apex)
+    for k in betas:
+        if k not in s.gamma:
+            continue
+        r, a1, d2 = k
+        d1 = s.beta[k]
+        if d1 not in src.counters[(leg1[r], a1)]:
+            out.append(f"beta{k!r} = {d1!r} is not a counter to {a1!r}")
+            continue
+        g = s.gamma[k]
+        if g not in apex:
+            out.append(f"gamma{k!r} = {g!r} is not an apex point")
+            continue
+        want1 = src.next[(leg1[r], a1, d1)]
+        want2 = dst.next[(leg2[r], s.alpha[(r, a1)], d2)]
+        if leg1[g] != want1:
+            out.append(f"gamma{k!r}: leg1 lands at {leg1[g]!r}, play lands at {want1!r}")
+        if leg2[g] != want2:
+            out.append(f"gamma{k!r}: leg2 lands at {leg2[g]!r}, play lands at {want2!r}")
     return out
 
 

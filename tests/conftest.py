@@ -6,14 +6,18 @@ quantifier loops so the checker has something to be measured against, and
 ``eq`` wraps the equivalence search with a bound wide enough for every
 composite built in the tests.  ``dump_v1`` is the encoder of the retired
 ``format_version: 1``, kept as the reference the frozen digests were taken
-with.
+with.  ``run_cli`` runs one ``polygame`` command line in process.
 """
 
+import contextlib
+import io
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 
+from polygame.cli import main
 from polygame.elements import atom, fun, mset, pair, star, tup
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.simulation import Simulation, equivalent
@@ -26,6 +30,25 @@ def eq(s: Simulation, t: Simulation, mode: str = "full") -> bool:
     """Morphism equality: two-sided span iso respecting the transports."""
     bound = max(16, len(s.apex), len(t.apex))
     return equivalent(s, t, mode, search_bound=bound) is not None
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args: str) -> CliResult:
+    """``polygame ARGS`` in this process: the exit code (0 when ``main``
+    returns, else its SystemExit's) and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args), standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def valid_by_definition(s: Simulation) -> bool:

@@ -13,10 +13,8 @@ import random
 from collections import Counter
 
 import pytest
-from click.testing import CliRunner
 
 from polygame.additive import copair, injection, oplus, pairing, projection
-from polygame.cli import main
 from polygame.documents import dump_document, load_document
 from polygame.elements import FiniteSet, atom, star
 from polygame.exponential import (
@@ -70,7 +68,7 @@ from polygame.synthesis import (
     max_simulation,
 )
 
-from conftest import FIXTURE_GAMES, eq, tampered, valid_by_definition
+from conftest import FIXTURE_GAMES, eq, run_cli, tampered, valid_by_definition
 
 FIXTURE_POOL = [UNIT, COIN, TRAP, ONEWAY]
 
@@ -466,7 +464,6 @@ def test_criterion_09_negative_witnesses():
 
 
 def test_criterion_10_cli_determinism_and_soak(tmp_path):
-    runner = CliRunner()
     bad = []
     fixtures = ["unit", "coin", "trap", "oneway"]
     commands = []
@@ -488,8 +485,8 @@ def test_criterion_10_cli_determinism_and_soak(tmp_path):
         }[i % 10])
     reparsed = 0
     for n, argv in enumerate(commands):
-        first = runner.invoke(main, argv, catch_exceptions=False)
-        second = runner.invoke(main, argv, catch_exceptions=False)
+        first = run_cli(*argv)
+        second = run_cli(*argv)
         if first.exit_code != 0 or second.exit_code != 0:
             bad.append(f"exit {argv}")
             continue
@@ -505,7 +502,7 @@ def test_criterion_10_cli_determinism_and_soak(tmp_path):
         if kind in ("game", "simulation"):
             path = tmp_path / f"doc{n}.json"
             path.write_text(first.stdout)
-            third = runner.invoke(main, ["validate", str(path)], catch_exceptions=False)
+            third = run_cli("validate", str(path))
             if third.exit_code != 0 or third.stdout != first.stdout:
                 bad.append(f"validate round trip {argv}")
         reparsed += 1

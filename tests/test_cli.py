@@ -3,25 +3,15 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from polygame.cli import EXIT_BAD_INPUT, EXIT_NO, EXIT_REFUSED, main
+from polygame.cli import EXIT_BAD_INPUT, EXIT_NO, EXIT_REFUSED
 from polygame.documents import dump_document, load_document
 from polygame.fixtures import COIN, TRAP, UNIT
 from polygame.laws import random_simulation
 from polygame.simulation import identity_sim
 from polygame.synthesis import max_simulation
 
-from conftest import dump_v1
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+from conftest import dump_v1, run_cli as invoke
 
 
 def write(tmp_path, name, kind, value):
@@ -30,58 +20,58 @@ def write(tmp_path, name, kind, value):
     return str(path)
 
 
-def test_game_constructors_emit_valid_documents(runner):
+def test_game_constructors_emit_valid_documents():
     for args in (["tensor", "coin", "trap"], ["oplus", "coin", "trap"],
                  ["lollipop", "coin", "trap"], ["dual", "coin"],
                  ["power", "coin", "2"], ["bang", "coin", "2"]):
-        res = invoke(runner, *args)
+        res = invoke(*args)
         assert res.exit_code == 0, (args, res.stderr)
         kind, _ = load_document(res.stdout)
         assert kind == "game"
 
 
-def test_validate_reemits_canonical_bytes(runner, tmp_path):
-    res = invoke(runner, "tensor", "coin", "unit")
+def test_validate_reemits_canonical_bytes(tmp_path):
+    res = invoke("tensor", "coin", "unit")
     path = tmp_path / "t.json"
     path.write_text(res.stdout)
-    once = invoke(runner, "validate", str(path))
+    once = invoke("validate", str(path))
     assert once.exit_code == 0
     assert once.stdout == res.stdout
     # loading a reshuffled document still lands on the same bytes
     shuffled = json.dumps(json.loads(res.stdout), indent=2)
     path.write_text(shuffled)
-    again = invoke(runner, "validate", str(path))
+    again = invoke("validate", str(path))
     assert again.exit_code == 0
     assert again.stdout == res.stdout
 
 
-def test_missing_file_and_bad_document_exit_one(runner, tmp_path):
-    res = invoke(runner, "dual", "no-such-file")
+def test_missing_file_and_bad_document_exit_one(tmp_path):
+    res = invoke("dual", "no-such-file")
     assert res.exit_code == EXIT_BAD_INPUT
     bad = tmp_path / "bad.json"
     bad.write_text("{\"nope\": 1}")
-    res = invoke(runner, "validate", str(bad))
+    res = invoke("validate", str(bad))
     assert res.exit_code == EXIT_BAD_INPUT
     bad.write_bytes(b"\xff")
-    res = invoke(runner, "validate", str(bad))
+    res = invoke("validate", str(bad))
     assert res.exit_code == EXIT_BAD_INPUT
     assert res.stderr.startswith(f"{bad}: ")
 
 
-def test_usage_error_exits_one(runner):
-    res = invoke(runner, "factor-power")
+def test_usage_error_exits_one():
+    res = invoke("factor-power")
     assert res.exit_code == EXIT_BAD_INPUT
 
 
-def test_oversized_construction_exits_two(runner):
-    res = invoke(runner, "power", "coin", "9")
+def test_oversized_construction_exits_two():
+    res = invoke("power", "coin", "9")
     assert res.exit_code == EXIT_REFUSED
     assert "ceiling" in res.stderr
 
 
-def test_check_sim_reports_and_exit_codes(runner, tmp_path):
+def test_check_sim_reports_and_exit_codes(tmp_path):
     good = write(tmp_path, "id.json", "simulation", identity_sim(COIN))
-    res = invoke(runner, "check-sim", good)
+    res = invoke("check-sim", good)
     assert res.exit_code == 0
     kind, report = load_document(res.stdout)
     assert kind == "report"
@@ -92,78 +82,78 @@ def test_check_sim_reports_and_exit_codes(runner, tmp_path):
     broken = Simulation(src=s.src, dst=s.dst, apex=s.apex, leg1=s.leg1,
                         leg2=s.leg2, alpha=s.alpha, beta={}, gamma=s.gamma)
     bad = write(tmp_path, "bad.json", "simulation", broken)
-    res = invoke(runner, "check-sim", bad)
+    res = invoke("check-sim", bad)
     assert res.exit_code == EXIT_NO
     kind, report = load_document(res.stdout)
     assert any(not c["ok"] for c in report["checks"])
 
 
-def test_equiv_exit_codes_and_modes(runner, tmp_path, rng):
+def test_equiv_exit_codes_and_modes(tmp_path, rng):
     a = write(tmp_path, "a.json", "simulation", identity_sim(COIN))
     b = write(tmp_path, "b.json", "simulation", identity_sim(COIN))
-    res = invoke(runner, "equiv", a, b, "--mode", "full")
+    res = invoke("equiv", a, b, "--mode", "full")
     assert res.exit_code == 0
-    res = invoke(runner, "equiv", a, b, "--mode", "span")
+    res = invoke("equiv", a, b, "--mode", "span")
     assert res.exit_code == 0
 
     fat = random_simulation(rng, COIN, COIN, dup_chance=1.0)
     c = write(tmp_path, "c.json", "simulation", fat)
-    res = invoke(runner, "equiv", a, c)
+    res = invoke("equiv", a, c)
     assert res.exit_code == EXIT_NO
 
     # refusal is only for instances whose answer would need a search
-    res = invoke(runner, "equiv", a, b, "--search-bound", "0")
+    res = invoke("equiv", a, b, "--search-bound", "0")
     assert res.exit_code == EXIT_REFUSED
 
 
-def test_compose_pipeline(runner, tmp_path):
+def test_compose_pipeline(tmp_path):
     s = write(tmp_path, "s.json", "simulation", max_simulation(COIN, COIN))
     t = write(tmp_path, "t.json", "simulation", identity_sim(COIN))
-    res = invoke(runner, "compose", s, t)
+    res = invoke("compose", s, t)
     assert res.exit_code == 0
     kind, out = load_document(res.stdout)
     assert kind == "simulation" and len(out.apex) == 4
 
 
-def test_synth_and_regions(runner):
-    res = invoke(runner, "synth", "coin", "--side", "alfred")
+def test_synth_and_regions():
+    res = invoke("synth", "coin", "--side", "alfred")
     assert res.exit_code == 0
     kind, sim = load_document(res.stdout)
     assert kind == "simulation" and len(sim.apex) > 0
 
-    res = invoke(runner, "synth", "trap", "--side", "alfred", "--region")
+    res = invoke("synth", "trap", "--side", "alfred", "--region")
     assert res.exit_code == 0
     kind, region = load_document(res.stdout)
     assert kind == "region" and len(region.states) == 0
 
-    res = invoke(runner, "synth", "trap", "--side", "dominic", "--region")
+    res = invoke("synth", "trap", "--side", "dominic", "--region")
     kind, region = load_document(res.stdout)
     assert len(region.states) == 2
 
 
-def test_max_sim_command(runner):
-    res = invoke(runner, "max-sim", "coin", "coin")
+def test_max_sim_command():
+    res = invoke("max-sim", "coin", "coin")
     assert res.exit_code == 0
     kind, sim = load_document(res.stdout)
     assert kind == "simulation" and len(sim.apex) == 4
 
 
-def test_curry_uncurry_pipeline(runner, tmp_path, rng):
+def test_curry_uncurry_pipeline(tmp_path, rng):
     from polygame.monoidal import tensor
 
     s = random_simulation(rng, tensor(COIN, UNIT), TRAP)
     spath = write(tmp_path, "s.json", "simulation", s)
-    cur = invoke(runner, "curry", spath, "coin", "unit")
+    cur = invoke("curry", spath, "coin", "unit")
     assert cur.exit_code == 0, cur.stderr
     cpath = tmp_path / "cur.json"
     cpath.write_text(cur.stdout)
-    back = invoke(runner, "uncurry", str(cpath), "coin", "unit", "trap")
+    back = invoke("uncurry", str(cpath), "coin", "unit", "trap")
     assert back.exit_code == 0
     assert back.stdout == dump_document("simulation", s, False)
 
 
-def test_laws_command_emits_green_report(runner):
-    res = invoke(runner, "laws", "--suite", "category", "--seed", "3")
+def test_laws_command_emits_green_report():
+    res = invoke("laws", "--suite", "category", "--seed", "3")
     assert res.exit_code == 0
     kind, report = load_document(res.stdout)
     assert kind == "report"
@@ -171,27 +161,27 @@ def test_laws_command_emits_green_report(runner):
     assert all(c["ok"] for c in report["checks"] if not c["name"].startswith("info:"))
 
 
-def test_laws_command_is_deterministic(runner):
-    one = invoke(runner, "laws", "--suite", "biproduct", "--seed", "5")
-    two = invoke(runner, "laws", "--suite", "biproduct", "--seed", "5")
+def test_laws_command_is_deterministic():
+    one = invoke("laws", "--suite", "biproduct", "--seed", "5")
+    two = invoke("laws", "--suite", "biproduct", "--seed", "5")
     assert one.stdout == two.stdout
     assert one.exit_code == two.exit_code == 0
 
 
-def test_laws_unknown_suite_exits_one(runner):
-    res = invoke(runner, "laws", "--suite", "nonsense")
+def test_laws_unknown_suite_exits_one():
+    res = invoke("laws", "--suite", "nonsense")
     assert res.exit_code == EXIT_BAD_INPUT
 
 
-def test_pretty_format_flag(runner):
-    res = invoke(runner, "dual", "coin", "--format", "pretty")
+def test_pretty_format_flag():
+    res = invoke("dual", "coin", "--format", "pretty")
     assert res.exit_code == 0
     assert res.stdout.count("\n") > 3
     kind, _ = load_document(res.stdout)
     assert kind == "game"
 
 
-def test_corrupted_gamma_document_is_answered_no(runner, tmp_path):
+def test_corrupted_gamma_document_is_answered_no(tmp_path):
     # the corruption the benchmark's cli workload writes to bad.json: the first
     # gamma row (by key text) is rerouted to another apex entry.  The document
     # stays well-formed; only the simulation condition breaks.
@@ -202,19 +192,19 @@ def test_corrupted_gamma_document_is_answered_no(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     assert load_document(bad.read_text())[0] == "simulation"
-    res = invoke(runner, "check-sim", str(bad))
+    res = invoke("check-sim", str(bad))
     assert res.exit_code == EXIT_NO
     _, report = load_document(res.stdout)
     assert any("gamma" in c["details"] for c in report["checks"] if not c["ok"])
-    res = invoke(runner, "validate", str(bad))
+    res = invoke("validate", str(bad))
     assert res.exit_code == EXIT_BAD_INPUT
     assert "invalid simulation" in res.stderr
 
 
-def test_version_1_document_exits_one(runner, tmp_path):
+def test_version_1_document_exits_one(tmp_path):
     old = tmp_path / "old.json"
     old.write_text(dump_v1("game", COIN))
-    res = invoke(runner, "validate", str(old))
+    res = invoke("validate", str(old))
     assert res.exit_code == EXIT_BAD_INPUT
     assert "format_version" in res.stderr
 
@@ -242,8 +232,8 @@ def sims(tmp_path, rng):
     ["curry", "{pair_to_trap}", "coin", "unit"],
     ["factor-power", "{id_coin2}", "coin", "--copies", "2"],
 ], ids=lambda args: args[0])
-def test_every_builder_refuses_past_the_ceiling(runner, sims, args):
-    res = invoke(runner, *(a.format(**sims) for a in args), "--max-enum", "1")
+def test_every_builder_refuses_past_the_ceiling(sims, args):
+    res = invoke(*(a.format(**sims) for a in args), "--max-enum", "1")
     assert res.exit_code == EXIT_REFUSED, res.stderr
     assert "ceiling" in res.stderr
 
@@ -257,7 +247,72 @@ def test_every_builder_refuses_past_the_ceiling(runner, sims, args):
     (["factor-power", "{id_coin}", "coin", "--copies", "2"],
      "factor_through_power: target is not the ordered power"),
 ], ids=["compose", "curry", "uncurry-dst", "uncurry-src", "factor-power"])
-def test_endpoint_mismatch_exits_one_with_its_message(runner, sims, args, message):
-    res = invoke(runner, *(a.format(**sims) for a in args))
+def test_endpoint_mismatch_exits_one_with_its_message(sims, args, message):
+    res = invoke(*(a.format(**sims) for a in args))
     assert res.exit_code == EXIT_BAD_INPUT
     assert res.stderr == message + "\n"
+
+
+def test_version_prints_name_and_version():
+    res = invoke("--version")
+    assert res.exit_code == 0
+    assert res.stdout == "polygame, version 0.1.0\n"
+
+
+COMMANDS = ["validate", "tensor", "oplus", "lollipop", "dual", "power", "bang", "compose",
+            "check-sim", "equiv", "curry", "uncurry", "synth", "max-sim", "factor-power",
+            "laws"]
+
+
+@pytest.mark.parametrize("args", [["--help"]] + [[c, "--help"] for c in COMMANDS],
+                         ids=lambda args: args[0])
+def test_help_exits_zero(args):
+    res = invoke(*args)
+    assert res.exit_code == 0
+    assert res.stdout.startswith("usage: polygame")
+
+
+@pytest.mark.parametrize("args", [
+    ["bang", "coin"],
+    [],
+    ["nope", "coin"],
+    ["dual", "coin", "--bogus"],
+    ["dual", "coin", "--form", "pretty"],
+    ["dual", "coin", "--format", "bogus"],
+    ["dual", "coin", "--max-enum", "x"],
+    ["power", "coin", "two"],
+    ["synth", "coin"],
+    ["laws", "--suite", "nope"],
+], ids=["missing-argument", "no-command", "unknown-command", "unknown-option",
+        "abbreviated-option", "bad-format", "bad-max-enum", "bad-int", "synth-without-side",
+        "unknown-suite"])
+def test_bad_command_lines_exit_one_with_empty_stdout(args):
+    res = invoke(*args)
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert res.stdout == ""
+    assert res.stderr
+
+
+def test_unknown_suite_names_the_suites():
+    res = invoke("laws", "--suite", "nope")
+    assert res.stderr == ("unknown suite 'nope'; choose from biproduct, category, "
+                          "exponential, monoidal, synthesis\n")
+
+
+def test_invalid_game_row_inside_a_simulation_is_refused(tmp_path):
+    # a successor row the simulation check never reads: (h, h, h) is no triple
+    # of the coin, so the source game -- and so the simulation -- is invalid.
+    # The encoder writes only the rows it walks to, so the row goes in by hand.
+    doc = json.loads(dump_document("simulation", identity_sim(COIN), False))
+    h = doc["payload"]["elements"].index("h")
+    doc["payload"]["src"]["next"][f"{h},{h},{h}"] = h
+    path = tmp_path / "rogue.json"
+    path.write_text(json.dumps(doc))
+    path = str(path)
+    res = invoke("validate", path)
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert "invalid simulation" in res.stderr and "src: successor at unknown triple" in res.stderr
+    res = invoke("check-sim", path)
+    assert res.exit_code == EXIT_NO
+    _, report = load_document(res.stdout)
+    assert report["checks"][0]["details"].startswith("src: successor at unknown triple")

@@ -332,3 +332,11 @@ def test_compose_apex_is_the_matched_pairs(rng):
         for r, q in matched:
             assert c.leg1[pair(r, q)] == s.leg1[r]
             assert c.leg2[pair(r, q)] == t.leg2[q]
+
+
+def test_checker_reports_an_invalid_game_row_it_never_reads():
+    s = identity_sim(COIN)
+    h = COIN.states.items[0]
+    src = Game(COIN.states, COIN.moves, COIN.counters, {**COIN.next, (h, h, h): h})
+    bad = Simulation(src, s.dst, s.apex, s.leg1, s.leg2, s.alpha, s.beta, s.gamma)
+    assert check_simulation(bad) == [f"src: successor at unknown triple {(h, h, h)!r}"]
