@@ -11,9 +11,9 @@ from polygame.additive import oplus
 
 
 def shape(name, g):
-    moves = sum(len(g.moves_at(i)) for i in g.states)
+    moves = sum(len(g.moves[i]) for i in g.states)
     counters = sum(
-        len(g.counters_at(i, a)) for i in g.states for a in g.moves_at(i)
+        len(g.counters[(i, a)]) for i in g.states for a in g.moves[i]
     )
     print(f"  {name:24s} {len(g.states):3d} states {moves:4d} moves {counters:4d} counters")
 
@@ -35,7 +35,7 @@ def main():
     print("\nThe hom game lollipop(COIN, TRAP) plays translations:")
     ell = lollipop(COIN, TRAP)
     for st in sorted(ell.states):
-        print(f"  at {st.text()}: {len(ell.moves_at(st))} translation moves")
+        print(f"  at {st.text()}: {len(ell.moves[st])} translation moves")
 
     print("\nA game is also a set-valued operation -- its extension.")
     print("Feeding a family with 2 points at h and 1 at t through COIN:")
@@ -47,7 +47,7 @@ def main():
     })
     ext = extend(COIN, x)
     for i in sorted(COIN.states):
-        print(f"  fiber at {i.text()}: {len(ext.fiber(i))} elements"
+        print(f"  fiber at {i.text()}: {len(ext.fibers[i])} elements"
               f"  (= sum over moves of the product over counters)")
 
 

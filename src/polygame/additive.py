@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .elements import FiniteSet, atom, pair
-from .games import Game
+from .games import Game, _build_game
 from .simulation import (
     Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span, zero_sim
 )
@@ -34,21 +34,16 @@ def zero_game() -> Game:
 
 def oplus(p1: Game, p2: Game) -> Game:
     """Tagged disjoint union; every layer is tagged, nothing is shared."""
-    states = []
-    moves = {}
-    counters = {}
-    nxt = {}
-    for tag, p in ((_L, p1), (_R, p2)):
-        for i in p.states:
-            ti = pair(tag, i)
-            states.append(ti)
-            moves[ti] = FiniteSet(pair(tag, a) for a in p.moves_at(i))
-            for a in p.moves_at(i):
-                ta = pair(tag, a)
-                counters[(ti, ta)] = FiniteSet(pair(tag, d) for d in p.counters_at(i, a))
-                for d in p.counters_at(i, a):
-                    nxt[(ti, ta, pair(tag, d))] = pair(tag, p.next_state(i, a, d))
-    return Game(FiniteSet(states), moves, counters, nxt)
+    summands = {pair(tag, i): (tag, p, i) for tag, p in ((_L, p1), (_R, p2)) for i in p.states}
+
+    def row(ti):
+        tag, p, i = summands[ti]
+        for a in p.moves[i]:
+            yield pair(tag, a), [
+                (pair(tag, d), pair(tag, p.next[(i, a, d)])) for d in p.counters[(i, a)]
+            ]
+
+    return _build_game(summands, row)
 
 
 def bigoplus(games: Iterable[Game]) -> Game:

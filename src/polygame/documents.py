@@ -35,7 +35,7 @@ import json
 from typing import Callable
 
 from .elements import Element, FiniteSet, atom, fun, mset, pair, star, tup
-from .games import Game
+from .games import Game, validate_game
 from .simulation import Simulation
 from .synthesis import Region
 
@@ -157,6 +157,8 @@ def _read_table(rows, path: str) -> dict:
 
 
 def encode_game(g: Game, ref: Callable[[Element], int]) -> dict:
+    """Write a game's rows in walk order; refuse a game with rows the walk
+    does not reach, rather than drop them."""
     states = [ref(i) for i in g.states]
     moves = {}
     counters = {}
@@ -171,6 +173,8 @@ def encode_game(g: Game, ref: Callable[[Element], int]) -> dict:
             counters[ka] = [ref(d) for d in cofiber]
             for d in cofiber:
                 nxt[f"{ka},{ref(d)}"] = ref(g.next[(i, a, d)])
+    if (len(moves), len(counters), len(nxt)) != (len(g.moves), len(g.counters), len(g.next)):
+        raise ValueError("invalid game: " + "; ".join(validate_game(g)))
     return {"states": states, "moves": moves, "counters": counters, "next": nxt}
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, mset, pair, star, tup
 from .fixtures import unit_game
-from .games import Game
+from .games import Game, _build_game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget, SizeRefused
 from .monoidal import tensor
 from .simulation import (
@@ -124,28 +124,9 @@ def tensor_power(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     budget = EnumBudget("tensor_power", max_enum)
     states = all_words(p.states, k)
     budget.charge(len(states))
-    moves = {}
-    counters = {}
-    nxt = {}
-    for i in states:
-        us = i.items
-        budget.charge(prod(len(p.moves_at(u)) for u in us))
-        ms = []
-        for choice in itertools.product(*(p.moves_at(u).items for u in us)):
-            w = tup(*choice)
-            ms.append(w)
-            cpools = [p.counters_at(u, a).items for u, a in zip(us, choice)]
-            budget.charge(prod(len(c) for c in cpools))
-            ds = []
-            for dchoice in itertools.product(*cpools):
-                d = tup(*dchoice)
-                ds.append(d)
-                nxt[(i, w, d)] = tup(
-                    *(p.next_state(u, a, dd) for u, a, dd in zip(us, choice, dchoice))
-                )
-            counters[(i, w)] = FiniteSet(ds)
-        moves[i] = FiniteSet(ms)
-    return Game(states, moves, counters, nxt)
+    row = _lockstep(p, budget, lambda i: [i.items], lambda arr, choice: tup(*choice),
+                    lambda js: tup(*js))
+    return _build_game(states, row)
 
 
 def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
@@ -158,40 +139,46 @@ def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    moves = {}
-    counters = {}
-    nxt = {}
-    states = _power_rows(p, k, EnumBudget("power", max_enum), moves, counters, nxt)
-    return Game(states, moves, counters, nxt)
+    budget = EnumBudget("power", max_enum)
+    return _build_game(_power_states(p, [k], budget), _power_row(p, budget))
 
 
-def _power_rows(p: Game, k: int, budget: EnumBudget, moves, counters, nxt) -> FiniteSet:
-    """Write the rows of the k-th power into the given tables and return its
-    states, charging each fiber to ``budget`` before it is built."""
-    states = all_msets(p.states, k)
-    budget.charge(len(states))
-    for m in states:
-        arrangements = _distinct_arrangements(m)
-        per_arr = prod(len(p.moves_at(u)) for u in m.items)
-        budget.charge(len(arrangements) * per_arr)
-        ms = []
-        for arr in arrangements:
-            for choice in itertools.product(*(p.moves_at(u).items for u in arr)):
-                w = tup(*(pair(u, a) for u, a in zip(arr, choice)))
-                ms.append(w)
-                cpools = [p.counters_at(u, a).items for u, a in zip(arr, choice)]
+def _power_states(p: Game, ks, budget: EnumBudget):
+    """The states of the powers ``ks`` of p, each power charged to ``budget``
+    before its states are yielded."""
+    for k in ks:
+        states = all_msets(p.states, k)
+        budget.charge(len(states))
+        yield from states
+
+
+def _power_row(p: Game, budget: EnumBudget):
+    return _lockstep(p, budget, _distinct_arrangements,
+                     lambda arr, choice: tup(*map(pair, arr, choice)), mset)
+
+
+def _lockstep(p: Game, budget: EnumBudget, arrangements, spell, land):
+    """The row function of copies of p played in lockstep.
+
+    At a state i, every arrangement ``arr`` in ``arrangements(i)`` (a list of
+    tuples of p's states) offers one move per choice of a p-move in each
+    copy, spelled ``spell(arr, choice)``; a counter answers every copy, and
+    play lands on ``land`` of the copies' successors.  Each fiber is charged
+    to ``budget`` before it is built.
+    """
+    def row(i):
+        arrs = arrangements(i)
+        budget.charge(len(arrs) * prod(len(p.moves[u]) for u in arrs[0]))
+        for arr in arrs:
+            for choice in itertools.product(*(p.moves[u].items for u in arr)):
+                cpools = [p.counters[(u, a)].items for u, a in zip(arr, choice)]
                 budget.charge(prod(len(c) for c in cpools))
-                ds = []
-                for dchoice in itertools.product(*cpools):
-                    d = tup(*dchoice)
-                    ds.append(d)
-                    nxt[(m, w, d)] = mset(
-                        p.next_state(u, a, dd)
-                        for u, a, dd in zip(arr, choice, dchoice)
-                    )
-                counters[(m, w)] = FiniteSet(ds)
-        moves[m] = FiniteSet(ms)
-    return states
+                yield spell(arr, choice), [
+                    (tup(*ds), land(p.next[(u, a, d)] for u, a, d in zip(arr, choice, ds)))
+                    for ds in itertools.product(*cpools)
+                ]
+
+    return row
 
 
 def _word_states(word: Element) -> tuple:
@@ -483,13 +470,7 @@ def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     budget = EnumBudget("bang", max_enum)
-    states = []
-    moves = {}
-    counters = {}
-    nxt = {}
-    for k in range(bound + 1):
-        states.extend(_power_rows(p, k, budget, moves, counters, nxt))
-    return Game(FiniteSet(states), moves, counters, nxt)
+    return _build_game(_power_states(p, range(bound + 1), budget), _power_row(p, budget))
 
 
 def counit_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:

@@ -12,6 +12,12 @@ Formally this is a diagram of finite sets over the positions -- the polynomial
 reading -- but the code works with plain tables.  All tables are keyed by
 :class:`~polygame.elements.Element` values and are treated as immutable once a
 game is built.
+
+A game is read only through its tables: ``g.moves[i]``, ``g.counters[(i, a)]``
+and ``g.next[(i, a, d)]``.  Every builder writes them through one constructor,
+``_build_game``, which asks a row function for each state's moves, counters
+and successors; only it, :func:`make_game` (loose tables from fixtures and
+tests) and the document decoder key the counter and successor tables.
 """
 
 from __future__ import annotations
@@ -41,24 +47,6 @@ class Game:
     counters: Mapping[tuple[Element, Element], FiniteSet]
     next: Mapping[tuple[Element, Element, Element], Element]
 
-    def moves_at(self, i: Element) -> FiniteSet:
-        try:
-            return self.moves[i]
-        except KeyError:
-            raise KeyError(f"no move fiber at state {i!r}") from None
-
-    def counters_at(self, i: Element, a: Element) -> FiniteSet:
-        try:
-            return self.counters[(i, a)]
-        except KeyError:
-            raise KeyError(f"no counter fiber at ({i!r}, {a!r})") from None
-
-    def next_state(self, i: Element, a: Element, d: Element) -> Element:
-        try:
-            return self.next[(i, a, d)]
-        except KeyError:
-            raise KeyError(f"no successor at ({i!r}, {a!r}, {d!r})") from None
-
 
 def make_game(states, moves, counters, next_table) -> Game:
     """Normalise loose inputs (iterables, dicts of iterables) into a Game."""
@@ -66,6 +54,32 @@ def make_game(states, moves, counters, next_table) -> Game:
     mv = {i: (f if isinstance(f, FiniteSet) else FiniteSet(f)) for i, f in moves.items()}
     ct = {k: (f if isinstance(f, FiniteSet) else FiniteSet(f)) for k, f in counters.items()}
     return Game(states=st, moves=mv, counters=ct, next=dict(next_table))
+
+
+def _build_game(states, row) -> Game:
+    """The game over ``states`` whose rows ``row`` writes.
+
+    ``states`` is any iterable of states, read once, in order.  For each state
+    i, ``row(i)`` yields ``(a, [(d, successor), ...])``: one entry per move at
+    i, with that move's counters and where each lands.  States and rows are
+    pulled in turn, so a builder's enumeration charges keep their order.  This
+    is the one builder that keys counters by (i, a) and successors by
+    (i, a, d).
+    """
+    seen = []
+    moves = {}
+    counters = {}
+    nxt = {}
+    for i in states:
+        seen.append(i)
+        ms = []
+        for a, landings in row(i):
+            ms.append(a)
+            counters[(i, a)] = FiniteSet([d for d, _ in landings])
+            for d, j in landings:
+                nxt[(i, a, d)] = j
+        moves[i] = FiniteSet(ms)
+    return Game(FiniteSet(seen), moves, counters, nxt)
 
 
 def _show(k) -> str:
@@ -130,12 +144,6 @@ class FamilySet:
     base: FiniteSet
     fibers: Mapping[Element, FiniteSet]
 
-    def fiber(self, i: Element) -> FiniteSet:
-        try:
-            return self.fibers[i]
-        except KeyError:
-            raise KeyError(f"no fiber at {i!r}") from None
-
 
 def validate_family(x: FamilySet) -> list[str]:
     problems = []
@@ -163,9 +171,9 @@ def extend(g: Game, x: FamilySet) -> FamilySet:
     fibers = {}
     for i in g.states:
         entries = []
-        for a in g.moves_at(i):
-            ds = g.counters_at(i, a).items
-            pools = [x.fiber(g.next_state(i, a, d)).items for d in ds]
+        for a in g.moves[i]:
+            ds = g.counters[(i, a)].items
+            pools = [x.fibers[g.next[(i, a, d)]].items for d in ds]
             for choice in itertools.product(*pools):
                 entries.append(pair(a, fun(zip(ds, choice))))
         fibers[i] = FiniteSet(entries)
@@ -217,16 +225,13 @@ def from_symmetric_game(move_edges: StateSpan, counter_edges: StateSpan) -> Game
         bad = validate_state_span(span)
         if bad:
             raise ValueError(f"invalid {name} edge system: " + "; ".join(bad))
-    moves = {i: move_edges.moves[i] for i in move_edges.states}
-    counters = {}
-    next_table = {}
-    for i in move_edges.states:
-        for a in moves[i]:
+
+    def row(i):
+        for a in move_edges.moves[i]:
             mid = move_edges.next[(i, a)]
-            counters[(i, a)] = counter_edges.moves[mid]
-            for d in counters[(i, a)]:
-                next_table[(i, a, d)] = counter_edges.next[(mid, d)]
-    return Game(states=move_edges.states, moves=moves, counters=counters, next=next_table)
+            yield a, [(d, counter_edges.next[(mid, d)]) for d in counter_edges.moves[mid]]
+
+    return _build_game(move_edges.states, row)
 
 
 # -- carrier isomorphism ----------------------------------------------------
@@ -271,13 +276,13 @@ def _match_moves(g1: Game, g2: Game, state_map):
     for i in g1.states:
         j = state_map[i]
         unused = [
-            (a2, Counter(g2.next_state(j, a2, d) for d in g2.counters_at(j, a2)))
-            for a2 in g2.moves_at(j)
+            (a2, Counter(g2.next[(j, a2, d)] for d in g2.counters[(j, a2)]))
+            for a2 in g2.moves[j]
         ]
-        if len(unused) != len(g1.moves_at(i)):
+        if len(unused) != len(g1.moves[i]):
             return None
-        for a1 in g1.moves_at(i):
-            want = Counter(state_map[g1.next_state(i, a1, d)] for d in g1.counters_at(i, a1))
+        for a1 in g1.moves[i]:
+            want = Counter(state_map[g1.next[(i, a1, d)]] for d in g1.counters[(i, a1)])
             n = next((n for n, (_, tally) in enumerate(unused) if tally == want), None)
             if n is None:
                 return None

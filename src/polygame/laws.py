@@ -279,14 +279,14 @@ def run_monoidal(seed: int, rounds: int = 6) -> list[dict]:
             for i2 in pa.states:
                 for i3 in pb.states:
                     want = 1
-                    for a2 in pa.moves_at(i2):
+                    for a2 in pa.moves[i2]:
                         tot = 0
-                        for a3 in pb.moves_at(i3):
-                            tot += len(pa.counters_at(i2, a2)) ** len(
-                                pb.counters_at(i3, a3)
+                        for a3 in pb.moves[i3]:
+                            tot += len(pa.counters[(i2, a2)]) ** len(
+                                pb.counters[(i3, a3)]
                             )
                         want *= tot
-                    if len(ell.moves_at(pair(i2, i3))) != want:
+                    if len(ell.moves[pair(i2, i3)]) != want:
                         cnt_ok = False
     checks.append(check("hom-fiber-count-formula", cnt_ok))
     return checks

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .elements import Element, FiniteSet, enumerate_functions, fun, pair, star
-from .games import Game
+from .games import Game, _build_game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget
 from .simulation import Simulation, _relabel_sim, _transport_sim, identity_sim
 from .fixtures import unit_game
@@ -29,28 +29,20 @@ from .fixtures import unit_game
 
 def tensor(p1: Game, p2: Game) -> Game:
     """Pointwise product game."""
-    states = FiniteSet(pair(i1, i2) for i1 in p1.states for i2 in p2.states)
-    moves = {}
-    counters = {}
-    nxt = {}
-    for i1 in p1.states:
-        for i2 in p2.states:
-            i = pair(i1, i2)
-            ms = []
-            for a1 in p1.moves[i1]:
-                for a2 in p2.moves[i2]:
-                    a = pair(a1, a2)
-                    ms.append(a)
-                    ds = []
-                    for d1 in p1.counters[(i1, a1)]:
-                        j1 = p1.next[(i1, a1, d1)]
-                        for d2 in p2.counters[(i2, a2)]:
-                            d = pair(d1, d2)
-                            ds.append(d)
-                            nxt[(i, a, d)] = pair(j1, p2.next[(i2, a2, d2)])
-                    counters[(i, a)] = FiniteSet(ds)
-            moves[i] = FiniteSet(ms)
-    return Game(states, moves, counters, nxt)
+    factors = {pair(i1, i2): (i1, i2) for i1 in p1.states for i2 in p2.states}
+
+    def row(i):
+        i1, i2 = factors[i]
+        for a1 in p1.moves[i1]:
+            for a2 in p2.moves[i2]:
+                landings = []
+                for d1 in p1.counters[(i1, a1)]:
+                    j1 = p1.next[(i1, a1, d1)]
+                    for d2 in p2.counters[(i2, a2)]:
+                        landings.append((pair(d1, d2), pair(j1, p2.next[(i2, a2, d2)])))
+                yield pair(a1, a2), landings
+
+    return _build_game(factors, row)
 
 
 def tensor_sim(s1: Simulation, s2: Simulation) -> Simulation:
@@ -166,55 +158,47 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     -- a P2-move plus a P3-counter -- and both components advance.
     """
     budget = EnumBudget("lollipop", max_enum)
-    states = FiniteSet(pair(i2, i3) for i2 in p2.states for i3 in p3.states)
-    budget.charge(len(states))
-    moves = {}
-    counters = {}
-    nxt = {}
-    for i2 in p2.states:
-        a2s = p2.moves_at(i2)
-        for i3 in p3.states:
-            i = pair(i2, i3)
-            a3s = p3.moves_at(i3)
+    factors = {pair(i2, i3): (i2, i3) for i2 in p2.states for i3 in p3.states}
+    budget.charge(len(factors))
 
-            # arithmetic precount of the move fiber: product over a2 of
-            # (sum over a3 of |D2|^|D3|) -- charged before anything is built
-            count = 1
-            for a2 in a2s:
-                per_a2 = 0
-                nd2 = len(p2.counters_at(i2, a2))
-                for a3 in a3s:
-                    per_a2 += nd2 ** len(p3.counters_at(i3, a3))
-                count *= per_a2
-            budget.charge(count)
+    def row(i):
+        i2, i3 = factors[i]
+        a2s = p2.moves[i2]
+        a3s = p3.moves[i3]
 
-            ms = []
-            for f in enumerate_functions(a2s, a3s):
-                pools = []
+        # arithmetic precount of the move fiber: product over a2 of
+        # (sum over a3 of |D2|^|D3|) -- charged before anything is built
+        count = 1
+        for a2 in a2s:
+            per_a2 = 0
+            nd2 = len(p2.counters[(i2, a2)])
+            for a3 in a3s:
+                per_a2 += nd2 ** len(p3.counters[(i3, a3)])
+            count *= per_a2
+        budget.charge(count)
+
+        for f in enumerate_functions(a2s, a3s):
+            pools = []
+            for a2 in a2s.items:
+                d3s = p3.counters[(i3, f.apply(a2))]
+                d2s = p2.counters[(i2, a2)]
+                pools.append(enumerate_functions(d3s, d2s))
+            for phis in itertools.product(*pools):
+                phi = fun(zip(a2s.items, phis))
+                budget.charge(
+                    sum(len(p3.counters[(i3, f.apply(a2))]) for a2 in a2s.items)
+                )
+                landings = []
                 for a2 in a2s.items:
-                    d3s = p3.counters_at(i3, f.apply(a2))
-                    d2s = p2.counters_at(i2, a2)
-                    pools.append(enumerate_functions(d3s, d2s))
-                for phis in itertools.product(*pools):
-                    phi = fun(zip(a2s.items, phis))
-                    m = pair(f, phi)
-                    ms.append(m)
-                    budget.charge(
-                        sum(len(p3.counters_at(i3, f.apply(a2))) for a2 in a2s.items)
-                    )
-                    ds = []
-                    for a2 in a2s.items:
-                        for d3 in p3.counters_at(i3, f.apply(a2)):
-                            d = pair(a2, d3)
-                            ds.append(d)
-                            d2 = phi.apply(a2).apply(d3)
-                            nxt[(i, m, d)] = pair(
-                                p2.next_state(i2, a2, d2),
-                                p3.next_state(i3, f.apply(a2), d3),
-                            )
-                    counters[(i, m)] = FiniteSet(ds)
-            moves[i] = FiniteSet(ms)
-    return Game(states, moves, counters, nxt)
+                    a3 = f.apply(a2)
+                    for d3 in p3.counters[(i3, a3)]:
+                        d2 = phi.apply(a2).apply(d3)
+                        landings.append(
+                            (pair(a2, d3), pair(p2.next[(i2, a2, d2)], p3.next[(i3, a3, d3)]))
+                        )
+                yield pair(f, phi), landings
+
+    return _build_game(factors, row)
 
 
 def curry(s: Simulation, p1: Game, p2: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -305,22 +289,16 @@ def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     a different (and generally bigger) carrier.
     """
     budget = EnumBudget("dual", max_enum)
-    moves = {}
-    counters = {}
-    nxt = {}
-    for i in p.states:
-        a_s = p.moves_at(i)
+
+    def row(i):
+        a_s = p.moves[i]
         count = 1
         for a in a_s:
-            count *= len(p.counters_at(i, a))
+            count *= len(p.counters[(i, a)])
         budget.charge(count * max(1, len(a_s)))
-        ms = []
-        pools = [p.counters_at(i, a).items for a in a_s.items]
+        pools = [p.counters[(i, a)].items for a in a_s.items]
         for choice in itertools.product(*pools):
-            f = fun(zip(a_s.items, choice))
-            ms.append(f)
-            counters[(i, f)] = a_s
-            for a, d in zip(a_s.items, choice):
-                nxt[(i, f, a)] = p.next_state(i, a, d)
-        moves[i] = FiniteSet(ms)
-    return Game(p.states, moves, counters, nxt)
+            landings = [(a, p.next[(i, a, d)]) for a, d in zip(a_s.items, choice)]
+            yield fun(zip(a_s.items, choice)), landings
+
+    return _build_game(p.states, row)

@@ -333,10 +333,10 @@ def _local_signature(sim: Simulation, r: Element) -> tuple:
     i2 = sim.leg2[r]
     al = []
     be = []
-    for a1 in sim.src.moves_at(i1):
+    for a1 in sim.src.moves[i1]:
         a2 = sim.alpha[(r, a1)]
         al.append((a1.key, a2.key))
-        for d2 in sim.dst.counters_at(i2, a2):
+        for d2 in sim.dst.counters[(i2, a2)]:
             be.append((a1.key, d2.key, sim.beta[(r, a1, d2)].key))
     return (i1.key, i2.key, tuple(sorted(al)), tuple(sorted(be)))
 
@@ -379,9 +379,9 @@ def _refine_classes(s: Simulation, t: Simulation):
             for r in sim.apex:
                 i1 = sim.leg1[r]
                 folded = []
-                for a1 in sim.src.moves_at(i1):
+                for a1 in sim.src.moves[i1]:
                     a2 = sim.alpha[(r, a1)]
-                    for d2 in sim.dst.counters_at(sim.leg2[r], a2):
+                    for d2 in sim.dst.counters[(sim.leg2[r], a2)]:
                         folded.append((a1.key, d2.key, ids[sim.gamma[(r, a1, d2)]]))
                 sig = (ids[r], tuple(sorted(folded)))
                 new[r] = table.setdefault(sig, len(table))

@@ -71,24 +71,24 @@ def valid_by_definition(s: Simulation) -> bool:
         i1, i2 = s.leg1[r], s.leg2[r]
         if i1 not in src.states or i2 not in dst.states:
             return False
-        for a1 in src.moves_at(i1):
+        for a1 in src.moves[i1]:
             if (r, a1) not in s.alpha:
                 return False
             a2 = s.alpha[(r, a1)]
-            if a2 not in dst.moves_at(i2):
+            if a2 not in dst.moves[i2]:
                 return False
-            for d2 in dst.counters_at(i2, a2):
+            for d2 in dst.counters[(i2, a2)]:
                 if (r, a1, d2) not in s.beta or (r, a1, d2) not in s.gamma:
                     return False
                 d1 = s.beta[(r, a1, d2)]
-                if d1 not in src.counters_at(i1, a1):
+                if d1 not in src.counters[(i1, a1)]:
                     return False
                 r2 = s.gamma[(r, a1, d2)]
                 if r2 not in s.apex:
                     return False
-                if s.leg1[r2] != src.next_state(i1, a1, d1):
+                if s.leg1[r2] != src.next[(i1, a1, d1)]:
                     return False
-                if s.leg2[r2] != dst.next_state(i2, a2, d2):
+                if s.leg2[r2] != dst.next[(i2, a2, d2)]:
                     return False
     # no stray table rows pointing at unknown apex points
     for (r, _a1) in s.alpha:
@@ -127,13 +127,13 @@ def tampered(sim: Simulation, rng: random.Random) -> Simulation:
     if what == "alpha":
         key = rng.choice(sorted(alpha))
         i2 = sim.leg2[key[0]]
-        moves = sorted(sim.dst.moves_at(i2)) or [atom("bogus")]
+        moves = sorted(sim.dst.moves[i2]) or [atom("bogus")]
         alpha[key] = rng.choice(moves)
     elif what == "beta":
         key = rng.choice(sorted(beta))
         i1 = sim.leg1[key[0]]
         a1 = key[1]
-        counters = sorted(sim.src.counters_at(i1, a1)) or [atom("bogus")]
+        counters = sorted(sim.src.counters[(i1, a1)]) or [atom("bogus")]
         beta[key] = rng.choice(counters)
     else:
         key = rng.choice(sorted(gamma))

@@ -145,14 +145,14 @@ def test_criterion_03_curry_eval_and_hom_counts():
         ell = lollipop(p2, p3)
         for st in ell.states:
             i2, i3 = st.fst, st.snd
-            a2s = sorted(p2.moves_at(i2))
+            a2s = sorted(p2.moves[i2])
             want = 0
-            for f in itertools.product(sorted(p3.moves_at(i3)), repeat=len(a2s)):
+            for f in itertools.product(sorted(p3.moves[i3]), repeat=len(a2s)):
                 prod = 1
                 for a2, a3 in zip(a2s, f):
-                    prod *= len(p2.counters_at(i2, a2)) ** len(p3.counters_at(i3, a3))
+                    prod *= len(p2.counters[(i2, a2)]) ** len(p3.counters[(i3, a3)])
                 want += prod
-            if len(ell.moves_at(st)) != want:
+            if len(ell.moves[st]) != want:
                 bad += 1
     verdict(3, bad == 0,
             f"200 strict curry round trips, 50 eval laws, hom move counts ({bad} failures)")
@@ -177,25 +177,25 @@ def test_criterion_04_extension_of_hom_cardinality():
             i2, i3 = st.fst, st.snd
             # Pi_{a2} Sigma_{a3} Pi_{d3} Sigma_{d2} |X(next2, next3)|
             want = 1
-            for a2 in p2.moves_at(i2):
+            for a2 in p2.moves[i2]:
                 s_a3 = 0
-                for a3 in p3.moves_at(i3):
+                for a3 in p3.moves[i3]:
                     prod_d3 = 1
-                    for d3 in p3.counters_at(i3, a3):
+                    for d3 in p3.counters[(i3, a3)]:
                         s_d2 = 0
-                        for d2 in p2.counters_at(i2, a2):
+                        for d2 in p2.counters[(i2, a2)]:
                             key = None
-                            n2 = p2.next_state(i2, a2, d2)
-                            n3 = p3.next_state(i3, a3, d3)
+                            n2 = p2.next[(i2, a2, d2)]
+                            n3 = p3.next[(i3, a3, d3)]
                             for cand in ell.states:
                                 if cand.fst == n2 and cand.snd == n3:
                                     key = cand
                                     break
-                            s_d2 += len(x.fiber(key))
+                            s_d2 += len(x.fibers[key])
                         prod_d3 *= s_d2
                     s_a3 += prod_d3
                 want *= s_a3
-            if len(ext.fiber(st)) != want:
+            if len(ext.fibers[st]) != want:
                 bad += 1
     verdict(4, bad == 0,
             f"hom extension equals the product-sum oracle on {len(cases)} families ({bad} off)")
@@ -351,14 +351,14 @@ def test_criterion_08_synthesis():
         while True:
             if side == "alfred":
                 keep = {i for i in good
-                        if any(all(g.next_state(i, a, d) in good
-                                   for d in g.counters_at(i, a))
-                               for a in g.moves_at(i))}
+                        if any(all(g.next[(i, a, d)] in good
+                                   for d in g.counters[(i, a)])
+                               for a in g.moves[i])}
             else:
                 keep = {i for i in good
-                        if all(any(g.next_state(i, a, d) in good
-                                   for d in g.counters_at(i, a))
-                               for a in g.moves_at(i))}
+                        if all(any(g.next[(i, a, d)] in good
+                                   for d in g.counters[(i, a)])
+                               for a in g.moves[i])}
             if keep == good:
                 return good
             good = keep
@@ -406,7 +406,7 @@ def test_criterion_09_negative_witnesses():
     # function element (the game is carrier-isomorphic, not carrier-equal)
     dd = dual(dual(TRAP))
     ok_state = [s for s in TRAP.states if s.key[1] == "ok"][0]
-    if set(dd.moves_at(ok_state)) == set(TRAP.moves_at(ok_state)):
+    if set(dd.moves[ok_state]) == set(TRAP.moves[ok_state]):
         bad.append("double dual did not change the move elements")
     # and on a two-move game even the move counts differ: 2 vs 2^(2*2)
     from polygame.games import make_game
@@ -416,14 +416,14 @@ def test_criterion_09_negative_witnesses():
     g2 = make_game(FiniteSet([s0]), {s0: two},
                    {(s0, a): ds for a in two},
                    {(s0, a, d): s0 for a in two for d in ds})
-    if len(dual(dual(g2)).moves_at(s0)) == len(g2.moves_at(s0)):
+    if len(dual(dual(g2)).moves[s0]) == len(g2.moves[s0]):
         bad.append("double dual preserved move counts on the two-move game")
 
     # prepending is natural only up to a one-way span embedding: with a
     # duplicated-apex morphism the two routes around the square differ
     h = [s for s in COIN.states if s.key[1] == "h"][0]
-    (flip,) = COIN.moves_at(h)
-    land_h = [d for d in COIN.counters_at(h, flip) if d.key[1] == "land_h"][0]
+    (flip,) = COIN.moves[h]
+    land_h = [d for d in COIN.counters[(h, flip)] if d.key[1] == "land_h"][0]
     pt1, pt2 = atom("r1"), atom("r2")
     u = Simulation(
         src=COIN, dst=unit_game(),

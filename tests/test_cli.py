@@ -302,7 +302,7 @@ def test_unknown_suite_names_the_suites():
 def test_invalid_game_row_inside_a_simulation_is_refused(tmp_path):
     # a successor row the simulation check never reads: (h, h, h) is no triple
     # of the coin, so the source game -- and so the simulation -- is invalid.
-    # The encoder writes only the rows it walks to, so the row goes in by hand.
+    # The encoder refuses to write such a row, so it goes in by hand.
     doc = json.loads(dump_document("simulation", identity_sim(COIN), False))
     h = doc["payload"]["elements"].index("h")
     doc["payload"]["src"]["next"][f"{h},{h},{h}"] = h

@@ -10,8 +10,9 @@ from polygame.documents import DocumentError, dump_document, load_document
 from polygame.elements import FiniteSet, atom, star
 from polygame.exponential import comul_sim
 from polygame.fixtures import ALL_FIXTURES, COIN, TRAP
+from polygame.games import Game
 from polygame.laws import random_game, random_simulation
-from polygame.simulation import Simulation, check_simulation
+from polygame.simulation import Simulation, check_simulation, identity_sim
 from polygame.synthesis import Region, alfred_region, max_simulation
 
 from conftest import dump_v1, element_pool
@@ -77,6 +78,19 @@ def test_simulation_documents_round_trip(rng):
         assert kind == "simulation"
         assert back == s
         assert check_simulation(back) == []
+
+
+def test_rows_the_walk_does_not_reach_are_refused_not_dropped():
+    # (h, h, h) is no triple of the coin; writing the rest would load back valid
+    h = COIN.states.items[0]
+    rogue = Game(COIN.states, COIN.moves, COIN.counters, {**COIN.next, (h, h, h): h})
+    s = identity_sim(COIN)
+    sim = Simulation(rogue, s.dst, s.apex, s.leg1, s.leg2, s.alpha, s.beta, s.gamma)
+    message = f"invalid game: successor at unknown triple {(h, h, h)!r}"
+    for kind, value in (("game", rogue), ("simulation", sim)):
+        with pytest.raises(ValueError) as refused:
+            dump_document(kind, value)
+        assert str(refused.value) == message
 
 
 def test_shared_table_keeps_large_documents_small():

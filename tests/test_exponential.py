@@ -39,7 +39,7 @@ from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.games import validate_game
 from polygame.laws import random_simulation, symmetrize_over_power, symmetrize_span
 from polygame.limits import SizeRefused
-from polygame.monoidal import tensor
+from polygame.monoidal import dual, lollipop, tensor
 from polygame.simulation import (
     add,
     check_simulation,
@@ -90,17 +90,17 @@ def test_power_game_frozen_counts():
     for st in pw.states:
         support = set(st.items)
         if len(support) == 2:
-            assert len(pw.moves_at(st)) == 2
+            assert len(pw.moves[st]) == 2
         else:
-            assert len(pw.moves_at(st)) == 1
+            assert len(pw.moves[st]) == 1
 
 
 def test_tensor_power_matches_iterated_tensor_counts():
     tp = tensor_power(COIN, 3)
     tt = tensor(COIN, tensor(COIN, COIN))
     assert len(tp.states) == len(tt.states) == 8
-    assert sorted(len(tp.moves_at(s)) for s in tp.states) == \
-        sorted(len(tt.moves_at(s)) for s in tt.states)
+    assert sorted(len(tp.moves[s]) for s in tp.states) == \
+        sorted(len(tt.moves[s]) for s in tt.states)
 
 
 # chat equalizes every reshuffle: chat ; sigma-hat ~ chat (span mode)
@@ -286,6 +286,37 @@ def test_bang_charges_one_budget_across_its_powers():
     with pytest.raises(SizeRefused):
         bang(COIN, 3, max_enum=76)
     assert bang(COIN, 3, max_enum=110) == bang(COIN, 3)
+
+
+# Each builder's refusal below its total (and at half of it), word for word:
+# the running total a message names depends on the order of the charges.
+REFUSALS = [
+    (lambda m: bang(COIN, 3, max_enum=m), {
+        109: "bang (cumulative): would enumerate 110 objects (ceiling 109)",
+        55: "bang (cumulative): would enumerate 58 objects (ceiling 55)"}),
+    (lambda m: power_game(COIN, 3, max_enum=m), {
+        75: "power (cumulative): would enumerate 76 objects (ceiling 75)",
+        38: "power (cumulative): would enumerate 40 objects (ceiling 38)"}),
+    (lambda m: tensor_power(TRAP, 3, max_enum=m), {
+        16: "tensor_power (cumulative): would enumerate 17 objects (ceiling 16)",
+        8: "tensor_power (cumulative): would enumerate 9 objects (ceiling 8)"}),
+    (lambda m: lollipop(COIN, TRAP, max_enum=m), {
+        27: "lollipop (cumulative): would enumerate 28 objects (ceiling 27)",
+        14: "lollipop (cumulative): would enumerate 16 objects (ceiling 14)"}),
+    (lambda m: dual(tensor(COIN, TRAP), max_enum=m), {
+        9: "dual (cumulative): would enumerate 10 objects (ceiling 9)",
+        5: "dual (cumulative): would enumerate 6 objects (ceiling 5)"}),
+]
+
+
+@pytest.mark.parametrize("build, messages", REFUSALS,
+                         ids=["bang", "power_game", "tensor_power", "lollipop", "dual"])
+def test_refusal_messages_are_pinned(build, messages):
+    for ceiling, message in messages.items():
+        with pytest.raises(SizeRefused) as refused:
+            build(ceiling)
+        assert str(refused.value) == message
+    build(max(messages) + 1)  # the total itself is accepted
 
 
 def test_transport_square_is_pullback():

@@ -37,8 +37,8 @@ def test_fixtures_validate():
 
 def test_validate_flags_missing_next_row():
     h, t = sorted(COIN.states)
-    flip = next(iter(COIN.moves_at(h)))
-    land = sorted(COIN.counters_at(h, flip))[0]
+    flip = next(iter(COIN.moves[h]))
+    land = sorted(COIN.counters[(h, flip)])[0]
     nxt = {k: v for k, v in COIN.next.items() if k != (h, flip, land)}
     broken = make_game(COIN.states, COIN.moves, COIN.counters, nxt)
     problems = validate_game(broken)
@@ -48,8 +48,8 @@ def test_validate_flags_missing_next_row():
 
 def test_validate_flags_foreign_successor():
     h, t = sorted(COIN.states)
-    flip = next(iter(COIN.moves_at(h)))
-    land = sorted(COIN.counters_at(h, flip))[0]
+    flip = next(iter(COIN.moves[h]))
+    land = sorted(COIN.counters[(h, flip)])[0]
     nxt = dict(COIN.next)
     nxt[(h, flip, land)] = atom("nowhere")
     broken = make_game(COIN.states, COIN.moves, COIN.counters, nxt)
@@ -61,7 +61,7 @@ def test_random_games_validate(rng):
         assert validate_game(random_game(rng)) == []
 
 
-# |extend(g, x).fiber(i)| = Sigma_a Pi_d |x.fiber(next(i,a,d))|
+# |extend(g, x).fibers[i]| = Sigma_a Pi_d |x.fibers[next(i,a,d)]|
 def test_extension_cardinality_law(rng):
     for g in FIXTURE_GAMES + [random_game(rng) for _ in range(20)]:
         sizes = [rng.randint(0, 3) for _ in g.states]
@@ -70,19 +70,19 @@ def test_extension_cardinality_law(rng):
         assert ext.base == g.states
         for i in g.states:
             total = 0
-            for a in g.moves_at(i):
+            for a in g.moves[i]:
                 prod = 1
-                for d in g.counters_at(i, a):
-                    prod *= len(x.fiber(g.next_state(i, a, d)))
+                for d in g.counters[(i, a)]:
+                    prod *= len(x.fibers[g.next[(i, a, d)]])
                 total += prod
-            assert len(ext.fiber(i)) == total
+            assert len(ext.fibers[i]) == total
 
 
 def test_extension_on_unit_is_identity_up_to_tagging():
     s = next(iter(UNIT.states))
     x = family(UNIT.states, [2])
     ext = extend(UNIT, x)
-    assert len(ext.fiber(s)) == 2
+    assert len(ext.fibers[s]) == 2
 
 
 def test_extension_empty_fiber_propagates():
@@ -90,8 +90,8 @@ def test_extension_empty_fiber_propagates():
     h, t = sorted(COIN.states)
     x = FamilySet(COIN.states, {h: FiniteSet([atom("x")]), t: FiniteSet([])})
     ext = extend(COIN, x)
-    assert len(ext.fiber(h)) == 0
-    assert len(ext.fiber(t)) == 0
+    assert len(ext.fibers[h]) == 0
+    assert len(ext.fibers[t]) == 0
 
 
 def test_extension_base_mismatch_rejected():
@@ -109,9 +109,9 @@ def test_from_symmetric_game_single_loop_matches_unit_shape():
     assert validate_game(g) == []
     assert len(g.states) == 1
     (i,) = g.states
-    (a,) = g.moves_at(i)
-    (d,) = g.counters_at(i, a)
-    assert g.next_state(i, a, d) == i
+    (a,) = g.moves[i]
+    (d,) = g.counters[(i, a)]
+    assert g.next[(i, a, d)] == i
 
 
 def test_from_symmetric_game_two_state_swap():
@@ -128,9 +128,9 @@ def test_from_symmetric_game_two_state_swap():
     assert validate_game(g) == []
     other = {p: q, q: p}
     for i in g.states:
-        for mv in g.moves_at(i):
-            for c in g.counters_at(i, mv):
-                assert g.next_state(i, mv, c) == other[i]
+        for mv in g.moves[i]:
+            for c in g.counters[(i, mv)]:
+                assert g.next[(i, mv, c)] == other[i]
 
 
 def test_from_symmetric_game_missing_moves_give_empty_fiber():
@@ -143,8 +143,8 @@ def test_from_symmetric_game_missing_moves_give_empty_fiber():
                        {(p, d): p, (q, d): q})
     g = from_symmetric_game(a_span, d_span)
     assert validate_game(g) == []
-    assert list(g.moves_at(p)) == []
-    assert len(g.moves_at(q)) == 1
+    assert list(g.moves[p]) == []
+    assert len(g.moves[q]) == 1
 
 
 def test_empty_game_has_no_states():
@@ -159,10 +159,10 @@ def test_fixture_shapes():
     assert sorted(s.key[1] for s in TRAP.states) == ["dead", "ok"]
     ok = [s for s in TRAP.states if s.key[1] == "ok"][0]
     dead = [s for s in TRAP.states if s.key[1] == "dead"][0]
-    assert len(TRAP.moves_at(ok)) == 1 and len(TRAP.moves_at(dead)) == 0
-    (go,) = TRAP.moves_at(ok)
-    assert len(TRAP.counters_at(ok, go)) == 2
-    (go2,) = ONEWAY.moves_at([s for s in ONEWAY.states if s.key[1] == "ok"][0])
+    assert len(TRAP.moves[ok]) == 1 and len(TRAP.moves[dead]) == 0
+    (go,) = TRAP.moves[ok]
+    assert len(TRAP.counters[(ok, go)]) == 2
+    (go2,) = ONEWAY.moves[[s for s in ONEWAY.states if s.key[1] == "ok"][0]]
 
 
 # -- carrier isomorphism ------------------------------------------------------
@@ -177,8 +177,8 @@ def iso_oracle(g1, g2):
 
     def tally(g, i, a, relabel):
         out = {}
-        for d in g.counters_at(i, a):
-            t = relabel(g.next_state(i, a, d))
+        for d in g.counters[(i, a)]:
+            t = relabel(g.next[(i, a, d)])
             out[t] = out.get(t, 0) + 1
         return out
 
@@ -187,7 +187,7 @@ def iso_oracle(g1, g2):
         move_map = {}
         for i in g1.states:
             j = state_map[i]
-            a1s, a2s = g1.moves_at(i).items, g2.moves_at(j).items
+            a1s, a2s = g1.moves[i].items, g2.moves[j].items
             found = next(
                 (
                     p
@@ -215,14 +215,14 @@ def relabelled(g, rng):
     st = dict(zip(g.states, names))
     moves, counters, nxt = {}, {}, {}
     for i in g.states:
-        new = [atom(f"n{n}") for n in range(len(g.moves_at(i)))]
+        new = [atom(f"n{n}") for n in range(len(g.moves[i]))]
         rng.shuffle(new)
-        mv = dict(zip(g.moves_at(i), new))
+        mv = dict(zip(g.moves[i], new))
         moves[st[i]] = new
-        for a in g.moves_at(i):
-            counters[(st[i], mv[a])] = g.counters_at(i, a)
-            for d in g.counters_at(i, a):
-                nxt[(st[i], mv[a], d)] = st[g.next_state(i, a, d)]
+        for a in g.moves[i]:
+            counters[(st[i], mv[a])] = g.counters[(i, a)]
+            for d in g.counters[(i, a)]:
+                nxt[(st[i], mv[a], d)] = st[g.next[(i, a, d)]]
     return make_game(names, moves, counters, nxt)
 
 

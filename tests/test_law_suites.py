@@ -59,6 +59,14 @@ FROZEN = {
     "digging_sim": "9f5294b483a8cc373036e7d6b21607a177e8a086a158018e5365865536e4f244",
     "deriving_sim": "0ec565f57feb63d81daf1c3eeeb18da2159013d57397e3795849c99ae3a033d2",
     "bang_sim": "6d95967dba77b650e41d294a636fb368becad4da66b029111fe388b263ba5fee",
+    # the game builders' documents as written by a hand-rolled row loop in each
+    "tensor": "8be124cc1e229107338d3c99e918db33a172eead66c8d892a2ff53ff08fea3b5",
+    "oplus": "d7ce571e1dee99d7e182a2806794d8e6d32f22bf090c1b24bcf9964632de71e1",
+    "lollipop": "43edfc34a316e1b5699d65f9c93d35785e0c0d1245a8d6e855632c7010378474",
+    "dual": "36afb5a205b04c646ae40d0c15c8ef69233153c3aec5991e3ad7d79c4d3a0fbb",
+    "tensor_power": "ece2dd25de94c0ba611ca3bf3159d9a988ad7af93bf4ed7fcf3f2dac4de03890",
+    "power_game": "d4b358093eecbc868a54b40793c9fb3224f58fce012f3ca11f8ae7514047101c",
+    "from_symmetric_game": "bdce2fd8298b86bea2e9468a9d22c8884a2bc2438a67318bd0d2cfcbb32d8530",
 }
 
 # the same values' documents in format_version 2 (one shared element table),
@@ -88,20 +96,30 @@ FROZEN_V2 = {
     "digging_sim": "453d0e45b2ecd8363d7b4bbddc484e0c865e394a39f1e8ade088e1d2c6545dfe",
     "deriving_sim": "7f54261f0d1214143f171bb394ba399eb93d3b6b3436b1d2139a88d93f3bd776",
     "bang_sim": "c213999b140de1340ceeaa151ac7257cf6b071ab690e670b96bc50cd48981d6c",
+    "tensor": "230fe2922146664bc6632f9c919278e5e89bd7ac2d1089145b86850a9ef7fadd",
+    "oplus": "cf7a7e48f3975a7d660c889c8b0a1ceb9213aef73c1813c102cfedd41d971e52",
+    "lollipop": "2f61cda2f213ec8dda8e23965d262246ea8d6b1b334901777d5e89303cf5346c",
+    "dual": "842398280698e8ec32fd79a9497b17cbc4d9ac863be96075011a846a2b7cd683",
+    "tensor_power": "91238617a277a36bf0b0697a9b8371e773036c7808a7277de223b728d181dd89",
+    "power_game": "6355d407441f63b085cccebe3298613df9d8a859673c84c853c97f9c85407559",
+    "from_symmetric_game": "2bca84612d3002b2ee75d3f0bab74d4bf72c126ee65154f5feafeca07e0f0747",
 }
 
 DIGESTS = """
 import hashlib
 import random
 from conftest import dump_v1
-from polygame.additive import adjoint_transpose, copair, injection, projection
+from polygame.additive import adjoint_transpose, copair, injection, oplus, projection
 from polygame.documents import dump_document, load_document
+from polygame.elements import FiniteSet, atom
 from polygame.exponential import (bang, bang_sim, chat, comul_sim, dereliction_sim,
                                   deriving_sim, digging_sim, factor_through_power,
-                                  tensor_power)
+                                  power_game, tensor_power)
 from polygame.fixtures import COIN, TRAP, UNIT
+from polygame.games import StateSpan, from_symmetric_game
 from polygame.laws import SUITES, random_simulation, run_suite, symmetrize_over_power
-from polygame.monoidal import curry, structural_iso, tensor, tensor_sim, uncurry
+from polygame.monoidal import (curry, dual, lollipop, structural_iso, tensor, tensor_sim,
+                               uncurry)
 from polygame.simulation import add, compose, identity_sim, underlying_span
 from polygame.synthesis import max_simulation
 
@@ -147,6 +165,25 @@ sims = {
 }
 for name, s in sims.items():
     digests(name, "simulation", [s])
+
+# one small instance of every game builder that writes rows
+p, q, a, b, d, e = map(atom, "pqabde")
+pq = FiniteSet([p, q])
+edges = StateSpan(pq, {p: FiniteSet([a, b]), q: FiniteSet([a])},
+                  {(p, a): q, (p, b): p, (q, a): p})
+answers = StateSpan(pq, {p: FiniteSet([d, e]), q: FiniteSet([d])},
+                    {(p, d): p, (p, e): q, (q, d): q})
+games = {
+    "tensor": tensor(COIN, TRAP),
+    "oplus": oplus(COIN, TRAP),
+    "lollipop": lollipop(COIN, TRAP),
+    "dual": dual(TRAP),
+    "tensor_power": tensor_power(TRAP, 2),
+    "power_game": power_game(TRAP, 2),
+    "from_symmetric_game": from_symmetric_game(edges, answers),
+}
+for name, g in games.items():
+    digests(name, "game", [g])
 """
 
 

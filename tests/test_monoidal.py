@@ -26,16 +26,16 @@ def test_tensor_carrier_is_pointwise_product():
     assert len(g.states) == len(COIN.states) * len(TRAP.states)
     for st in g.states:
         i1, i2 = st.fst, st.snd
-        assert len(g.moves_at(st)) == len(COIN.moves_at(i1)) * len(TRAP.moves_at(i2))
-        for mv in g.moves_at(st):
+        assert len(g.moves[st]) == len(COIN.moves[i1]) * len(TRAP.moves[i2])
+        for mv in g.moves[st]:
             a1, a2 = mv.fst, mv.snd
-            assert len(g.counters_at(st, mv)) == (
-                len(COIN.counters_at(i1, a1)) * len(TRAP.counters_at(i2, a2))
+            assert len(g.counters[(st, mv)]) == (
+                len(COIN.counters[(i1, a1)]) * len(TRAP.counters[(i2, a2)])
             )
-            for c in g.counters_at(st, mv):
-                nxt = g.next_state(st, mv, c)
-                assert nxt.fst == COIN.next_state(i1, a1, c.fst)
-                assert nxt.snd == TRAP.next_state(i2, a2, c.snd)
+            for c in g.counters[(st, mv)]:
+                nxt = g.next[(st, mv, c)]
+                assert nxt.fst == COIN.next[(i1, a1, c.fst)]
+                assert nxt.snd == TRAP.next[(i2, a2, c.snd)]
 
 
 def test_tensor_unit_is_neutral_on_carrier_counts():
@@ -43,7 +43,7 @@ def test_tensor_unit_is_neutral_on_carrier_counts():
         t = tensor(g, unit_game())
         assert len(t.states) == len(g.states)
         for st in t.states:
-            assert len(t.moves_at(st)) == len(g.moves_at(st.fst))
+            assert len(t.moves[st]) == len(g.moves[st.fst])
 
 
 def test_tensor_with_empty_is_empty():
@@ -68,25 +68,25 @@ def test_lollipop_frozen_move_counts():
     # at (h, ok): 4 translation moves, 2 counters each; at (h, dead): none
     for st in ell.states:
         i2, i3 = st.fst.key[1], st.snd.key[1]
-        n = len(ell.moves_at(st))
+        n = len(ell.moves[st])
         if i3 == "dead":
             assert n == 0
         else:
             assert n == 4
-            for mv in ell.moves_at(st):
-                assert len(ell.counters_at(st, mv)) == 2
+            for mv in ell.moves[st]:
+                assert len(ell.counters[(st, mv)]) == 2
 
     ell2 = lollipop(TRAP, COIN)
     for st in ell2.states:
         i2 = st.fst.key[1]
-        n = len(ell2.moves_at(st))
+        n = len(ell2.moves[st])
         if i2 == "ok":
             assert n == 4
         else:
             # nothing to translate: the single vacuous move has no counters
             assert n == 1
-            (mv,) = ell2.moves_at(st)
-            assert len(ell2.counters_at(st, mv)) == 0
+            (mv,) = ell2.moves[st]
+            assert len(ell2.counters[(st, mv)]) == 0
 
 
 # |moves at (i2,i3)| = Sigma_{f: A2(i2)->A3(i3)} Pi_{a2} |D2(i2,a2)| ^ |D3(i3,f(a2))|
@@ -96,24 +96,24 @@ def test_lollipop_move_count_formula_all_fixture_pairs():
         assert validate_game(ell) == [], (n2, n3)
         for st in ell.states:
             i2, i3 = st.fst, st.snd
-            a2s = sorted(p2.moves_at(i2))
+            a2s = sorted(p2.moves[i2])
             total = 0
-            for f in itertools.product(sorted(p3.moves_at(i3)), repeat=len(a2s)):
+            for f in itertools.product(sorted(p3.moves[i3]), repeat=len(a2s)):
                 prod = 1
                 for a2, a3 in zip(a2s, f):
-                    prod *= len(p2.counters_at(i2, a2)) ** len(p3.counters_at(i3, a3))
+                    prod *= len(p2.counters[(i2, a2)]) ** len(p3.counters[(i3, a3)])
                 total += prod
-            assert len(ell.moves_at(st)) == total, (n2, n3, st)
+            assert len(ell.moves[st]) == total, (n2, n3, st)
 
 
 def test_lollipop_counters_are_move_counter_pairs():
     ell = lollipop(COIN, TRAP)
     for st in ell.states:
-        for mv in ell.moves_at(st):
-            for c in ell.counters_at(st, mv):
+        for mv in ell.moves[st]:
+            for c in ell.counters[(st, mv)]:
                 # a counter names a source move and a counter for its translation
                 a2, d3 = c.fst, c.snd
-                assert a2 in COIN.moves_at(st.fst)
+                assert a2 in COIN.moves[st.fst]
 
 
 # curry(uncurry(s)) == s and uncurry(curry(s)) == s, on the nose
@@ -157,9 +157,9 @@ def test_dual_frozen_counts_for_coin():
     assert d.states == COIN.states
     for st in d.states:
         # one choice function per counter of the single flip move
-        assert len(d.moves_at(st)) == 2
-        for mv in d.moves_at(st):
-            assert len(d.counters_at(st, mv)) == 1
+        assert len(d.moves[st]) == 2
+        for mv in d.moves[st]:
+            assert len(d.counters[(st, mv)]) == 1
 
 
 def test_dual_carrier_matches_lollipop_into_unit():
@@ -169,16 +169,16 @@ def test_dual_carrier_matches_lollipop_into_unit():
         by_name = {st: [e for e in ell.states if e.fst == st][0] for st in d.states}
         for st in d.states:
             lst = by_name[st]
-            assert len(d.moves_at(st)) == len(ell.moves_at(lst))
-            counts = sorted(len(d.counters_at(st, m)) for m in d.moves_at(st))
-            lcounts = sorted(len(ell.counters_at(lst, m)) for m in ell.moves_at(lst))
+            assert len(d.moves[st]) == len(ell.moves[lst])
+            counts = sorted(len(d.counters[(st, m)]) for m in d.moves[st])
+            lcounts = sorted(len(ell.counters[(lst, m)]) for m in ell.moves[lst])
             assert counts == lcounts
 
 
 def test_double_dual_is_not_involutive_on_elements():
     dd = dual(dual(TRAP))
     ok = state(TRAP, "ok")
-    assert set(dd.moves_at(ok)) != set(TRAP.moves_at(ok))
+    assert set(dd.moves[ok]) != set(TRAP.moves[ok])
 
 
 def test_function_space_guard_refuses_loudly():

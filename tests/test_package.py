@@ -7,6 +7,7 @@ what its command needs, so these checks run in fresh interpreters.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +115,10 @@ def test_unknown_attribute_raises_attribute_error():
 def test_from_polygame_import_a_submodule():
     assert fresh("import json\nfrom polygame import cli\nprint(json.dumps(cli.__name__))") \
         == "polygame.cli"
+
+
+def test_pyproject_version_matches_the_package():
+    # a regex rather than tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"', text, re.M)
+    assert version == polygame.__version__

@@ -174,8 +174,8 @@ def test_equivalence_distinguishes_transports():
     # two strategies for COIN over the same span: always-heads vs always-tails
     best = max_simulation(COIN, COIN)
     h = [s for s in COIN.states if s.key[1] == "h"][0]
-    (flip,) = COIN.moves_at(h)
-    land_h, land_t = sorted(COIN.counters_at(h, flip))
+    (flip,) = COIN.moves[h]
+    land_h, land_t = sorted(COIN.counters[(h, flip)])
     s = best
     twisted_beta = {}
     for (r, a1, d2), d1 in best.beta.items():
@@ -186,8 +186,8 @@ def test_equivalence_distinguishes_transports():
     ok = True
     for (r, a1, d2) in best.gamma:
         i1, i2 = best.leg1[r], best.leg2[r]
-        n1 = COIN.next_state(i1, a1, twisted_beta[(r, a1, d2)])
-        n2 = COIN.next_state(i2, best.alpha[(r, a1)], d2)
+        n1 = COIN.next[(i1, a1, twisted_beta[(r, a1, d2)])]
+        n2 = COIN.next[(i2, best.alpha[(r, a1)], d2)]
         if (n1, n2) not in by_pair:
             ok = False
             break

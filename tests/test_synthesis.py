@@ -33,16 +33,16 @@ def region_oracle(g, side):
             keep = {
                 i for i in good
                 if any(
-                    all(g.next_state(i, a, d) in good for d in g.counters_at(i, a))
-                    for a in g.moves_at(i)
+                    all(g.next[(i, a, d)] in good for d in g.counters[(i, a)])
+                    for a in g.moves[i]
                 )
             }
         else:
             keep = {
                 i for i in good
                 if all(
-                    any(g.next_state(i, a, d) in good for d in g.counters_at(i, a))
-                    for a in g.moves_at(i)
+                    any(g.next[(i, a, d)] in good for d in g.counters[(i, a)])
+                    for a in g.moves[i]
                 )
             }
         if keep == good:
@@ -57,15 +57,15 @@ def relation_oracle(g1, g2):
         keep = set()
         for i1, i2 in rel:
             good = True
-            for a1 in g1.moves_at(i1):
+            for a1 in g1.moves[i1]:
                 found = False
-                for a2 in g2.moves_at(i2):
+                for a2 in g2.moves[i2]:
                     if all(
                         any(
-                            (g1.next_state(i1, a1, d1), g2.next_state(i2, a2, d2)) in rel
-                            for d1 in g1.counters_at(i1, a1)
+                            (g1.next[(i1, a1, d1)], g2.next[(i2, a2, d2)]) in rel
+                            for d1 in g1.counters[(i1, a1)]
                         )
-                        for d2 in g2.counters_at(i2, a2)
+                        for d2 in g2.counters[(i2, a2)]
                     ):
                         found = True
                         break
