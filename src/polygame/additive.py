@@ -20,7 +20,7 @@ from typing import Iterable
 from .elements import FiniteSet, atom, pair
 from .games import Game, _build_game
 from .simulation import (
-    Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span, zero_sim
+    Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span
 )
 
 _L = atom("L")
@@ -178,17 +178,3 @@ def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: G
         None,
     )
 
-
-__all__ = [
-    "zero_game",
-    "oplus",
-    "bigoplus",
-    "injection",
-    "projection",
-    "copair",
-    "pairing",
-    "free_game",
-    "cofree_game",
-    "adjoint_transpose",
-    "zero_sim",
-]

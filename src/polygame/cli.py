@@ -158,8 +158,6 @@ def _power(a):
     """COPIES unordered copies of GAME."""
     from .exponential import power_game
 
-    if a.copies < 0:
-        _die(EXIT_BAD_INPUT, "copies must be non-negative")
     _emit("game", power_game(_load_game(a.game), a.copies, max_enum=a.max_enum), a)
 
 
@@ -168,8 +166,6 @@ def _bang(a):
     """Replays of GAME: every unordered batch of up to BOUND copies."""
     from .exponential import bang
 
-    if a.bound < 0:
-        _die(EXIT_BAD_INPUT, "bound must be non-negative")
     _emit("game", bang(_load_game(a.game), a.bound, max_enum=a.max_enum), a)
 
 
@@ -262,8 +258,6 @@ def _factor_power(a):
 
     s = _load_sim(a.sim)
     g = _load_game(a.game)
-    if a.copies < 0:
-        _die(EXIT_BAD_INPUT, "copies must be non-negative")
     _emit("simulation", factor_through_power(s, g, a.copies, max_enum=a.max_enum), a)
 
 

@@ -508,6 +508,9 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     were tagged.
     """
     src = bang(p, bound, max_enum=max_enum)
+    count = sum(2 ** len(m.items) for m in src.states)  # one point per deal
+    if count > max_enum:
+        raise SizeRefused("comul_sim apex", count, max_enum)
     tag1, tag2 = atom("1"), atom("2")
     apex = FiniteSet(
         pair(m, tup(*tags))

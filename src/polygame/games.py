@@ -234,9 +234,68 @@ def from_symmetric_game(move_edges: StateSpan, counter_edges: StateSpan) -> Game
     return _build_game(move_edges.states, row)
 
 
+# -- refine, then backtrack: the search of carrier_iso and equivalent --------
+
+
+def _refine(sides):
+    """Joint colour refinement of two item sets: per-side colours, or None.
+
+    Each side is ``(colour, fold)``: ``colour`` maps each item, in order, to
+    an initial colour, and ``fold(item, colours)`` describes what the item sees
+    under its side's colours.  A round recolours each item by its colour and
+    fold, numbering colours by first appearance over both sides, until the
+    colour count stops growing.  Items of different colours never correspond,
+    so the answer is None once the sides' colour counts differ.
+    """
+    table = {}
+    cols = [{x: table.setdefault(c, len(table)) for x, c in colour.items()} for colour, _ in sides]
+    while Counter(cols[0].values()) == Counter(cols[1].values()):
+        n = len(table)
+        table = {}
+        cols = [
+            {x: table.setdefault((c[x], fold(x, c)), len(table)) for x in c}
+            for c, (_, fold) in zip(cols, sides)
+        ]
+        if len(table) == n:
+            return cols
+    return None
+
+
+def _backtrack(order, candidates, viable):
+    """Yield, in lexicographic order, the injective maps ``viable`` accepts.
+
+    A map sends each ``order[k]`` into ``candidates[k]``.  ``viable(x, y,
+    sigma)`` is asked once per unused candidate y of x, with x already sent
+    to y in ``sigma``, the partial map, and says whether that may stand.
+    """
+    sigma, used, tries = {}, set(), []
+
+    def step(x, options):  # move x on to its next viable candidate
+        used.discard(sigma.pop(x, None))
+        for y in options:
+            sigma[x] = y
+            if y not in used and viable(x, y, sigma):
+                used.add(y)
+                return True
+        sigma.pop(x, None)
+        return False
+
+    while True:
+        if len(tries) == len(order):
+            yield dict(sigma)
+        else:
+            tries.append(iter(candidates[len(tries)]))
+        while tries and not step(order[len(tries) - 1], tries[-1]):
+            tries.pop()
+        if not tries:
+            return
+
+
 # -- carrier isomorphism ----------------------------------------------------
 
-_ISO_STATE_BOUND = 7
+# candidate tests one search may make: the sum of 7!/(7-k)! over k = 1..7,
+# enough for any pair of games with at most seven states
+_ISO_TEST_BOUND = 13_699
 
 
 def carrier_iso(g1: Game, g2: Game):
@@ -247,25 +306,45 @@ def carrier_iso(g1: Game, g2: Game):
     and, for every (i, a), the counter fibers admit a bijection commuting
     with the successor tables (counts per successor state agree; counters
     carry no structure beyond where they lead).  Returns ``None`` when no
-    such relabelling exists.  Refuses above a small state-count bound.
+    such relabelling exists, else the first in canonical state order.
+
+    States are coloured by their successor tallies, then mapped in canonical
+    order onto states of their colour; a state's moves are matched once it
+    and its successors are mapped.  Refuses past ``_ISO_TEST_BOUND`` tests.
     """
-    n = len(g1.states)
-    if n != len(g2.states):
+    if len(g1.states) != len(g2.states):
         return None
-    if n > _ISO_STATE_BOUND:
-        raise SearchRefused("carrier_iso", n, _ISO_STATE_BOUND)
 
-    s1 = g1.states.items
-    for perm in itertools.permutations(g2.states.items):
-        state_map = dict(zip(s1, perm))
-        move_map = _match_moves(g1, g2, state_map)
-        if move_map is not None:
-            return state_map, move_map
-    return None
+    def side(g):
+        def fold(i, c):
+            tallies = (sorted(c[g.next[(i, a, d)]] for d in g.counters[(i, a)]) for a in g.moves[i])
+            return tuple(sorted(map(tuple, tallies)))
+
+        return dict.fromkeys(g.states, 0), fold
+
+    cols = _refine([side(g1), side(g2)])
+    if cols is None:
+        return None
+    order = g1.states.items
+    pos = {i: k for k, i in enumerate(order)}
+    due = {i: [] for i in order}
+    for i in order:
+        ends = [i] + [g1.next[(i, a, d)] for a in g1.moves[i] for d in g1.counters[(i, a)]]
+        due[max(ends, key=pos.__getitem__)].append(i)
+    tests = itertools.count(1)
+
+    def viable(i, j, sigma):
+        if next(tests) > _ISO_TEST_BOUND:
+            raise SearchRefused("carrier_iso", _ISO_TEST_BOUND + 1, _ISO_TEST_BOUND)
+        return _match_moves(g1, g2, sigma, due[i]) is not None
+
+    candidates = [[j for j in g2.states if cols[1][j] == cols[0][i]] for i in order]
+    state_map = next(_backtrack(order, candidates, viable), None)
+    return None if state_map is None else (state_map, _match_moves(g1, g2, state_map, order))
 
 
-def _match_moves(g1: Game, g2: Game, state_map):
-    """Pair the moves at every state by their successor tallies, or None.
+def _match_moves(g1: Game, g2: Game, state_map, states):
+    """Pair the moves at each of ``states`` by their successor tallies, or None.
 
     Equal tallies (under ``state_map``) are an equivalence, so the fibers at
     i and j match exactly when their tallies agree as multisets; taking, for
@@ -273,7 +352,7 @@ def _match_moves(g1: Game, g2: Game, state_map):
     equal tally gives the lexicographically first matching.
     """
     move_map = {}
-    for i in g1.states:
+    for i in states:
         j = state_map[i]
         unused = [
             (a2, Counter(g2.next[(j, a2, d)] for d in g2.counters[(j, a2)]))

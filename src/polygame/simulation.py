@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, pair
-from .games import Game, check_keys, validate_game
+from .games import Game, _backtrack, _refine, check_keys, validate_game
 from .limits import DEFAULT_SEARCH_BOUND, SearchRefused
 
 
@@ -244,12 +244,12 @@ def equivalent(
     from a "no".  Both simulations must individually be valid; garbage in,
     garbage out.
 
-    The search never enumerates raw permutations.  Points are first split
-    into classes by everything locally observable (legs, the full alpha and
-    beta rows), the classes are refined through gamma until stable -- two
-    points that end in different classes can never correspond -- and only
-    the residual within-class freedom is resolved by backtracking with
-    forward checking.
+    The search never enumerates raw permutations.  Points are coloured by
+    everything locally observable (legs, the full alpha and beta rows) and
+    the colours refined through gamma until stable (``games._refine``) --
+    points of different colours can never correspond -- and only the
+    freedom within colours is resolved by backtracking (``games._backtrack``),
+    which checks each gamma edge as soon as both its ends are mapped.
     """
     if mode not in ("full", "span_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,64 +268,37 @@ def equivalent(
         # any fiber-respecting pairing is a witness; take the canonical one
         return SpanIso(mapping=legs)
 
-    ids_s, ids_t = _refine_classes(s, t)
-    if ids_s is None:
-        return None
+    out_s, out_t = ({r: [] for r in sim.apex} for sim in (s, t))
+    into: dict[Element, list] = {r: [] for r in s.apex}
+    for sim, out in ((s, out_s), (t, out_t)):
+        for (r, a1, d2), g in sim.gamma.items():
+            out[r].append((a1, d2, g))
+    for (r, a1, d2), g in s.gamma.items():
+        into[g].append((r, a1, d2))
 
+    def side(sim, edges):
+        def fold(r, c):
+            return tuple(sorted((a1.key, d2.key, c[g]) for a1, d2, g in edges[r]))
+
+        return {r: _local_signature(sim, r) for r in sim.apex}, fold
+
+    cols = _refine([side(s, out_s), side(t, out_t)])
+    if cols is None:
+        return None
+    ids_s, ids_t = cols
     by_class_t: dict[int, list[Element]] = {}
     for q in t.apex:
         by_class_t.setdefault(ids_t[q], []).append(q)
 
-    out_edges: dict[Element, list] = {r: [] for r in s.apex}
-    in_edges: dict[Element, list] = {r: [] for r in s.apex}
-    for (r, a1, d2), g in s.gamma.items():
-        out_edges[r].append((a1, d2, g))
-        in_edges[g].append((r, a1, d2))
-
     def viable(r, q, sigma):
-        for a1, d2, g in out_edges[r]:
-            tg = t.gamma[(q, a1, d2)]
-            if g == r:
-                if tg != q:
-                    return False
-            elif g in sigma and tg != sigma[g]:
-                return False
-        for r2, a1, d2 in in_edges[r]:
-            if r2 == r:
-                continue
-            if r2 in sigma and t.gamma[(sigma[r2], a1, d2)] != q:
-                return False
-        return True
+        # sigma already sends r to q: each mapped gamma edge at r must agree
+        return all(
+            g not in sigma or t.gamma[(q, a1, d2)] == sigma[g] for a1, d2, g in out_s[r]
+        ) and all(r2 not in sigma or t.gamma[(sigma[r2], a1, d2)] == q for r2, a1, d2 in into[r])
 
     order = sorted(s.apex, key=lambda r: (ids_s[r], r.key))
-    candidates = [by_class_t[ids_s[r]] for r in order]
-    sigma: dict[Element, Element] = {}
-    used: set[Element] = set()
-    choice = [0] * n
-    pos = 0
-    while True:
-        if pos == n:
-            return SpanIso(mapping=dict(sigma))
-        r = order[pos]
-        found = False
-        while choice[pos] < len(candidates[pos]):
-            q = candidates[pos][choice[pos]]
-            choice[pos] += 1
-            if q in used or not viable(r, q, sigma):
-                continue
-            sigma[r] = q
-            used.add(q)
-            found = True
-            break
-        if found:
-            pos += 1
-            continue
-        choice[pos] = 0
-        pos -= 1
-        if pos < 0:
-            return None
-        prev = order[pos]
-        used.discard(sigma.pop(prev))
+    sigma = next(_backtrack(order, [by_class_t[ids_s[r]] for r in order], viable), None)
+    return None if sigma is None else SpanIso(mapping=sigma)
 
 
 def _local_signature(sim: Simulation, r: Element) -> tuple:
@@ -339,59 +312,6 @@ def _local_signature(sim: Simulation, r: Element) -> tuple:
         for d2 in sim.dst.counters[(i2, a2)]:
             be.append((a1.key, d2.key, sim.beta[(r, a1, d2)].key))
     return (i1.key, i2.key, tuple(sorted(al)), tuple(sorted(be)))
-
-
-def _refine_classes(s: Simulation, t: Simulation):
-    """Joint partition refinement over both apexes.
-
-    Starts from everything locally observable and folds in the class of each
-    gamma target until stable.  Returns per-point class ids, or (None, None)
-    when the class census of the two sides disagrees (no bijection can
-    exist).
-    """
-    table: dict = {}
-    ids_s = {}
-    ids_t = {}
-    for r in s.apex:
-        sig = _local_signature(s, r)
-        ids_s[r] = table.setdefault(sig, len(table))
-    for q in t.apex:
-        sig = _local_signature(t, q)
-        ids_t[q] = table.setdefault(sig, len(table))
-
-    def census_matches():
-        cs: dict[int, int] = {}
-        ct: dict[int, int] = {}
-        for v in ids_s.values():
-            cs[v] = cs.get(v, 0) + 1
-        for v in ids_t.values():
-            ct[v] = ct.get(v, 0) + 1
-        return cs == ct
-
-    n_classes = len(table)
-    for _ in range(len(s.apex)):
-        if not census_matches():
-            return None, None
-        table = {}
-        new_s = {}
-        new_t = {}
-        for sim, ids, new in ((s, ids_s, new_s), (t, ids_t, new_t)):
-            for r in sim.apex:
-                i1 = sim.leg1[r]
-                folded = []
-                for a1 in sim.src.moves[i1]:
-                    a2 = sim.alpha[(r, a1)]
-                    for d2 in sim.dst.counters[(sim.leg2[r], a2)]:
-                        folded.append((a1.key, d2.key, ids[sim.gamma[(r, a1, d2)]]))
-                sig = (ids[r], tuple(sorted(folded)))
-                new[r] = table.setdefault(sig, len(table))
-        ids_s, ids_t = new_s, new_t
-        if len(table) == n_classes:
-            break
-        n_classes = len(table)
-    if not census_matches():
-        return None, None
-    return ids_s, ids_t
 
 
 # -- bare spans ---------------------------------------------------------------

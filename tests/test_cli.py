@@ -253,6 +253,18 @@ def test_endpoint_mismatch_exits_one_with_its_message(sims, args, message):
     assert res.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["power", "coin", "-1"], "power must be nonnegative"),
+    (["bang", "coin", "-1"], "bound must be nonnegative"),
+    (["factor-power", "{id_coin2}", "coin", "--copies", "-1"], "power must be nonnegative"),
+], ids=["power", "bang", "factor-power"])
+def test_negative_counts_exit_one_with_the_builders_message(sims, args, message):
+    res = invoke(*(a.format(**sims) for a in args))
+    assert res.exit_code == EXIT_BAD_INPUT
+    assert res.stdout == ""
+    assert res.stderr == message + "\n"
+
+
 def test_version_prints_name_and_version():
     res = invoke("--version")
     assert res.exit_code == 0

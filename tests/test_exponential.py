@@ -270,6 +270,23 @@ def test_bang_sim_refuses_before_enumerating(monkeypatch):
     assert (refused.value.what, refused.value.count) == ("bang_sim apex", 165)
 
 
+def test_comul_sim_refuses_its_apex_before_building_it(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("comul_sim built an apex it refuses")
+
+    def bang_then_stop(*args, **kwargs):
+        g = real_bang(*args, **kwargs)
+        monkeypatch.setattr(exponential, "pair", unreachable)
+        return g
+
+    real_bang = exponential.bang
+    monkeypatch.setattr(exponential, "bang", bang_then_stop)
+    # bang(UNIT, 6) has one state of each size k <= 6, dealt 2**k ways: 127 points
+    with pytest.raises(SizeRefused) as refused:
+        comul_sim(UNIT, 6, max_enum=100)
+    assert (refused.value.what, refused.value.count) == ("comul_sim apex", 127)
+
+
 def test_enumeration_budget_is_cumulative():
     # many small fibers must not slip under a per-fiber ceiling
     with pytest.raises(SizeRefused):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from polygame import games
 from polygame.elements import FiniteSet, atom, pair
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.games import (
@@ -18,6 +19,7 @@ from polygame.games import (
     validate_game,
 )
 from polygame.laws import random_game
+from polygame.limits import SearchRefused
 
 from conftest import FIXTURE_GAMES
 
@@ -263,3 +265,65 @@ def test_carrier_iso_wide_fibers_need_no_permutation_search():
     assert move_map[(s, atom("m9"))] == atom("m0")
     assert move_map[(s, atom("m0"))] == atom("m1")
 
+
+
+def test_carrier_iso_matches_permutation_oracle_on_eight_states():
+    # eight states: more than the old all-orders search accepted
+    rng = random.Random(8)
+    pairs = []
+    while len(pairs) < 3:
+        g = random_game(rng, 8, 2, 2)
+        if len(g.states) == 8:
+            pairs.append((g, relabelled(g, rng)))
+    for g, h in pairs[:3]:
+        key = next(iter(h.next))
+        other = next(j for j in h.states if j is not h.next[key])
+        pairs.append((g, make_game(h.states, h.moves, h.counters, {**h.next, key: other})))
+    for g1, g2 in pairs:
+        assert carrier_iso(g1, g2) == iso_oracle(g1, g2)
+    assert all(carrier_iso(g1, g2) is not None for g1, g2 in pairs[:3])
+
+
+def ring(sizes, tag="r"):
+    """Disjoint directed rings of the given sizes: one move, one counter each."""
+    go, c = atom("go"), atom("c")
+    states, moves, counters, nxt = [], {}, {}, {}
+    for n in sizes:
+        names = [atom(f"{tag}{len(states) + k:03d}") for k in range(n)]
+        for k, i in enumerate(names):
+            moves[i], counters[(i, go)] = [go], [c]
+            nxt[(i, go, c)] = names[(k + 1) % n]
+        states += names
+    return make_game(states, moves, counters, nxt)
+
+
+def test_carrier_iso_decides_two_hundred_state_rings():
+    g = ring([200])
+    start = time.perf_counter()
+    state_map, _ = carrier_iso(g, relabelled(g, random.Random(1)))
+    assert time.perf_counter() - start < 1.0
+    assert len(set(state_map.values())) == 200
+    # regular on both sides, so refinement splits nothing; the search ends anyway
+    start = time.perf_counter()
+    try:
+        assert carrier_iso(g, ring([100, 100], "q")) is None
+    except SearchRefused:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_carrier_iso_refinement_answers_no_without_searching(monkeypatch):
+    # one state of the second ring has a second counter: the colour counts differ
+    g = ring([200])
+    i, go, c2 = atom("r100"), atom("go"), atom("c2")
+    h = make_game(g.states, g.moves, {**g.counters, (i, go): [atom("c"), c2]},
+                  {**g.next, (i, go, c2): atom("r101")})
+    monkeypatch.setattr(games, "_match_moves", None)
+    assert carrier_iso(g, h) is None
+
+
+def test_carrier_iso_refuses_past_its_test_bound(monkeypatch):
+    monkeypatch.setattr(games, "_ISO_TEST_BOUND", 3)
+    g = ring([8])
+    with pytest.raises(SearchRefused):
+        carrier_iso(g, relabelled(g, random.Random(0)))
