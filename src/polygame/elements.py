@@ -32,7 +32,6 @@ that bare string, and round-tripping must stay faithful).
 
 from __future__ import annotations
 
-import itertools
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -308,22 +307,3 @@ class FiniteSet:
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
         return FiniteSet(self._items + other._items)
-
-
-def product_elements(*sets: FiniteSet) -> list[tuple[Element, ...]]:
-    """Cartesian product in canonical (lexicographic) order."""
-    return list(itertools.product(*(s.items for s in sets)))
-
-
-def enumerate_functions(dom: FiniteSet, cod: FiniteSet) -> list[Element]:
-    """Every function ``dom -> cod`` as a fun element, in canonical order.
-
-    The order is lexicographic in the choice of value along the sorted domain.
-    An empty domain yields exactly the empty function; an empty codomain with
-    a nonempty domain yields nothing.
-    """
-    keys = dom.items
-    out = []
-    for choice in itertools.product(cod.items, repeat=len(keys)):
-        out.append(fun(zip(keys, choice)))
-    return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, mset, pair, star, tup
@@ -94,7 +94,8 @@ def section(m: Element) -> Element:
 
 
 def all_words(base: FiniteSet, k: int) -> FiniteSet:
-    return FiniteSet(tup(*w) for w in itertools.product(base.items, repeat=k))
+    """The words of length k over base, refused past the default ceiling."""
+    return FiniteSet(tup(*w) for w in EnumBudget("all_words", DEFAULT_MAX_ENUM).pi([base] * k))
 
 
 def all_msets(base: FiniteSet, k: int) -> FiniteSet:
@@ -110,8 +111,21 @@ def all_msets_upto(base: FiniteSet, bound: int) -> FiniteSet:
     return FiniteSet(out)
 
 
-def _distinct_arrangements(m: Element) -> list[tuple]:
-    return sorted(set(itertools.permutations(m.items)))
+def _distinct_arrangements(m: Element, budget: EnumBudget):
+    """The distinct arrangements of a multiset, in lexicographic order, their
+    number (the multinomial of m's multiplicities) charged to ``budget`` first."""
+    budget.charge(factorial(len(m.items)) // prod(map(factorial, Counter(m.items).values())))
+    return _rearrangements(m.items)
+
+
+def _rearrangements(word: tuple):
+    """The distinct rearrangements of a sorted word, in lexicographic order."""
+    if not word:
+        yield ()
+    for j, x in enumerate(word):
+        if j == 0 or x is not word[j - 1]:
+            for rest in _rearrangements(word[:j] + word[j + 1:]):
+                yield (x, *rest)
 
 
 # -- the two powers -------------------------------------------------------------
@@ -122,8 +136,7 @@ def tensor_power(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     if k < 0:
         raise ValueError("power must be nonnegative")
     budget = EnumBudget("tensor_power", max_enum)
-    states = all_words(p.states, k)
-    budget.charge(len(states))
+    states = (tup(*w) for w in budget.pi([p.states] * k))
     row = _lockstep(p, budget, lambda i: [i.items], lambda arr, choice: tup(*choice),
                     lambda js: tup(*js))
     return _build_game(states, row)
@@ -144,38 +157,34 @@ def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
 
 
 def _power_states(p: Game, ks, budget: EnumBudget):
-    """The states of the powers ``ks`` of p, each power charged to ``budget``
-    before its states are yielded."""
+    """The states of the powers ``ks`` of p, each power's count of multisets
+    charged to ``budget`` before its states are built."""
+    n = len(p.states)
     for k in ks:
-        states = all_msets(p.states, k)
-        budget.charge(len(states))
-        yield from states
+        budget.charge(comb(n + k - 1, k) if n else int(k == 0))  # multisets of size k
+        yield from all_msets(p.states, k)
 
 
 def _power_row(p: Game, budget: EnumBudget):
-    return _lockstep(p, budget, _distinct_arrangements,
+    return _lockstep(p, budget, lambda m: _distinct_arrangements(m, budget),
                      lambda arr, choice: tup(*map(pair, arr, choice)), mset)
 
 
 def _lockstep(p: Game, budget: EnumBudget, arrangements, spell, land):
     """The row function of copies of p played in lockstep.
 
-    At a state i, every arrangement ``arr`` in ``arrangements(i)`` (a list of
-    tuples of p's states) offers one move per choice of a p-move in each
-    copy, spelled ``spell(arr, choice)``; a counter answers every copy, and
-    play lands on ``land`` of the copies' successors.  Each fiber is charged
-    to ``budget`` before it is built.
+    At a state i, every arrangement ``arr`` in ``arrangements(i)`` (tuples
+    of p's states) offers one move per choice of a p-move in each copy,
+    spelled ``spell(arr, choice)``; a counter answers every copy, and play
+    lands on ``land`` of the copies' successors.  Both products go through
+    ``budget.pi``.
     """
     def row(i):
-        arrs = arrangements(i)
-        budget.charge(len(arrs) * prod(len(p.moves[u]) for u in arrs[0]))
-        for arr in arrs:
-            for choice in itertools.product(*(p.moves[u].items for u in arr)):
-                cpools = [p.counters[(u, a)].items for u, a in zip(arr, choice)]
-                budget.charge(prod(len(c) for c in cpools))
+        for arr in arrangements(i):
+            for choice in budget.pi(p.moves[u] for u in arr):
                 yield spell(arr, choice), [
                     (tup(*ds), land(p.next[(u, a, d)] for u, a, d in zip(arr, choice, ds)))
-                    for ds in itertools.product(*cpools)
+                    for ds in budget.pi(p.counters[(u, a)] for u, a in zip(arr, choice))
                 ]
 
     return row
@@ -508,14 +517,10 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     were tagged.
     """
     src = bang(p, bound, max_enum=max_enum)
-    count = sum(2 ** len(m.items) for m in src.states)  # one point per deal
-    if count > max_enum:
-        raise SizeRefused("comul_sim apex", count, max_enum)
     tag1, tag2 = atom("1"), atom("2")
+    budget = EnumBudget("comul_sim apex", max_enum)
     apex = FiniteSet(
-        pair(m, tup(*tags))
-        for m in src.states
-        for tags in itertools.product((tag1, tag2), repeat=len(m.items))
+        pair(m, tup(*tags)) for m in src.states for tags in budget.pi([(tag1, tag2)] * len(m.items))
     )
 
     def pools(r):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .elements import Element, FiniteSet, fun, pair
-from .limits import SearchRefused
+from .limits import DEFAULT_MAX_ENUM, EnumBudget, SearchRefused
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,17 @@ def extend(g: Game, x: FamilySet) -> FamilySet:
                               prod over counters d of |x(i[a/d])|
 
     which is the invariant the tests pin against an independent count.
+    Extensions past the default enumeration ceiling are refused.
     """
     if x.base != g.states:
         raise ValueError("family base must be the game's states")
+    budget = EnumBudget("extend", DEFAULT_MAX_ENUM)
     fibers = {}
     for i in g.states:
         entries = []
         for a in g.moves[i]:
             ds = g.counters[(i, a)].items
-            pools = [x.fibers[g.next[(i, a, d)]].items for d in ds]
-            for choice in itertools.product(*pools):
+            for choice in budget.pi(x.fibers[g.next[(i, a, d)]] for d in ds):
                 entries.append(pair(a, fun(zip(ds, choice))))
         fibers[i] = FiniteSet(entries)
     return FamilySet(base=g.states, fibers=fibers)
@@ -335,7 +336,8 @@ def carrier_iso(g1: Game, g2: Game):
 
     def viable(i, j, sigma):
         if next(tests) > _ISO_TEST_BOUND:
-            raise SearchRefused("carrier_iso", _ISO_TEST_BOUND + 1, _ISO_TEST_BOUND)
+            raise SearchRefused("carrier_iso", _ISO_TEST_BOUND + 1, _ISO_TEST_BOUND,
+                                "{size} candidate tests exceed bound {bound}")
         return _match_moves(g1, g2, sigma, due[i]) is not None
 
     candidates = [[j for j in g2.states if cols[1][j] == cols[0][i]] for i in order]

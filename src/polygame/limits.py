@@ -1,12 +1,16 @@
 """Sizing and search guards.
 
-Several constructions (linear implication, negation, the bounded exponential)
-can blow up combinatorially even on tiny inputs.  The library never silently
-truncates: before materialising a fiber it computes the exact count
-arithmetically and *refuses* past a ceiling.  Likewise the span-bijection
-search behind morphism equality refuses, rather than guesses, above its
-bound -- "refused" is a distinct outcome from "no".
+Linear implication, negation and the powers blow up combinatorially even on
+tiny inputs, through one step: the dependent product, the sections of a
+finite family of pools.  Every such product goes through
+:meth:`EnumBudget.pi`, which charges its exact size before yielding anything,
+so the library never silently truncates: past the ceiling it *refuses*.
+Likewise the searches behind morphism equality and carrier isomorphism refuse,
+rather than guess, above their bounds -- "refused" is distinct from "no".
 """
+
+import itertools
+from math import prod
 
 DEFAULT_MAX_ENUM = 10_000
 DEFAULT_SEARCH_BOUND = 8
@@ -23,23 +27,28 @@ class SizeRefused(Exception):
 
 
 class SearchRefused(Exception):
-    """An exhaustive search was declined because its space exceeds the bound."""
+    """An exhaustive search was declined because its work exceeds the bound.
 
-    def __init__(self, what: str, size: int, bound: int):
+    ``reason`` names what was counted, as a template over ``{size}`` and
+    ``{bound}``, such as ``"{size} candidate tests exceed bound {bound}"``.
+    """
+
+    def __init__(self, what: str, size: int, bound: int, reason: str):
         self.what = what
         self.size = size
         self.bound = bound
-        super().__init__(f"{what}: search space of size {size} exceeds bound {bound}")
+        super().__init__(f"{what}: " + reason.format(size=size, bound=bound))
 
 
 class EnumBudget:
     """A cumulative enumeration allowance for one construction.
 
-    Per-fiber counts alone let a construction sneak past the ceiling by
-    spreading work over many small fibers (a thousand states of ten moves
-    each).  Every fiber's arithmetic precount is charged here *before* that
-    fiber is materialised, so a construction refuses as soon as its running
-    total would cross the ceiling, having built nothing oversized.
+    Every charge adds to one running total, so a construction cannot sneak
+    past the ceiling by spreading work over many small fibers, and it refuses
+    as soon as the total would cross the ceiling.  The rule: :meth:`pi`
+    charges exactly what it yields, before the first section; any other
+    charge is a count computed before its objects are built; lists linear in
+    what was charged already (a move's counters listed as pairs) are free.
     """
 
     def __init__(self, what: str, ceiling: int):
@@ -51,3 +60,10 @@ class EnumBudget:
         self.used += n
         if self.used > self.ceiling:
             raise SizeRefused(f"{self.what} (cumulative)", self.used, self.ceiling)
+
+    def pi(self, pools):
+        """The sections of the family ``pools`` in lexicographic order, their
+        number (the product of the pools' sizes) charged when called."""
+        pools = list(pools)
+        self.charge(prod(map(len, pools)))
+        return itertools.product(*pools)

@@ -10,7 +10,11 @@ counter-choices.
 
 Both the hom and negation enumerate genuinely large fibers, so both take an
 enumeration ceiling and refuse (:class:`~polygame.limits.SizeRefused`) rather
-than truncate -- the exact fiber size is computed arithmetically first:
+than truncate.  A move fiber of the hom is the dependent product, over the
+P2-moves a2, of the pool of pairs (a3, a pull-back of a3's counters to a2's);
+each pull-back pool is itself a product.  Both go through
+:meth:`~polygame.limits.EnumBudget.pi`, which charges the exact size before
+anything is built:
 
     |moves of P2 -o P3 at (i2, i3)|
         = prod over a2 of (sum over a3 of |D2(i2,a2)| ** |D3(i3,a3)|)
@@ -18,9 +22,7 @@ than truncate -- the exact fiber size is computed arithmetically first:
 
 from __future__ import annotations
 
-import itertools
-
-from .elements import Element, FiniteSet, enumerate_functions, fun, pair, star
+from .elements import Element, FiniteSet, fun, pair, star
 from .games import Game, _build_game
 from .limits import DEFAULT_MAX_ENUM, EnumBudget
 from .simulation import Simulation, _relabel_sim, _transport_sim, identity_sim
@@ -158,45 +160,27 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     -- a P2-move plus a P3-counter -- and both components advance.
     """
     budget = EnumBudget("lollipop", max_enum)
-    factors = {pair(i2, i3): (i2, i3) for i2 in p2.states for i3 in p3.states}
-    budget.charge(len(factors))
+    factors = {pair(i2, i3): (i2, i3) for i2, i3 in budget.pi([p2.states, p3.states])}
+
+    def pullbacks(i2, a2, i3, a3):  # the maps from a3's counters to a2's
+        d3s = p3.counters[(i3, a3)].items
+        return [fun(zip(d3s, back)) for back in budget.pi([p2.counters[(i2, a2)]] * len(d3s))]
 
     def row(i):
         i2, i3 = factors[i]
-        a2s = p2.moves[i2]
-        a3s = p3.moves[i3]
-
-        # arithmetic precount of the move fiber: product over a2 of
-        # (sum over a3 of |D2|^|D3|) -- charged before anything is built
-        count = 1
-        for a2 in a2s:
-            per_a2 = 0
-            nd2 = len(p2.counters[(i2, a2)])
-            for a3 in a3s:
-                per_a2 += nd2 ** len(p3.counters[(i3, a3)])
-            count *= per_a2
-        budget.charge(count)
-
-        for f in enumerate_functions(a2s, a3s):
-            pools = []
-            for a2 in a2s.items:
-                d3s = p3.counters[(i3, f.apply(a2))]
-                d2s = p2.counters[(i2, a2)]
-                pools.append(enumerate_functions(d3s, d2s))
-            for phis in itertools.product(*pools):
-                phi = fun(zip(a2s.items, phis))
-                budget.charge(
-                    sum(len(p3.counters[(i3, f.apply(a2))]) for a2 in a2s.items)
-                )
-                landings = []
-                for a2 in a2s.items:
-                    a3 = f.apply(a2)
-                    for d3 in p3.counters[(i3, a3)]:
-                        d2 = phi.apply(a2).apply(d3)
-                        landings.append(
-                            (pair(a2, d3), pair(p2.next[(i2, a2, d2)], p3.next[(i3, a3, d3)]))
-                        )
-                yield pair(f, phi), landings
+        a2s = p2.moves[i2].items
+        pools = [
+            [(a3, phi) for a3 in p3.moves[i3] for phi in pullbacks(i2, a2, i3, a3)]
+            for a2 in a2s
+        ]
+        for section in budget.pi(pools):
+            landings = [
+                (pair(a2, d3), pair(p2.next[(i2, a2, phi.apply(d3))], p3.next[(i3, a3, d3)]))
+                for a2, (a3, phi) in zip(a2s, section)
+                for d3 in p3.counters[(i3, a3)]
+            ]
+            f = fun(zip(a2s, (a3 for a3, _ in section)))
+            yield pair(f, fun(zip(a2s, (phi for _, phi in section)))), landings
 
     return _build_game(factors, row)
 
@@ -291,14 +275,9 @@ def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     budget = EnumBudget("dual", max_enum)
 
     def row(i):
-        a_s = p.moves[i]
-        count = 1
-        for a in a_s:
-            count *= len(p.counters[(i, a)])
-        budget.charge(count * max(1, len(a_s)))
-        pools = [p.counters[(i, a)].items for a in a_s.items]
-        for choice in itertools.product(*pools):
-            landings = [(a, p.next[(i, a, d)]) for a, d in zip(a_s.items, choice)]
-            yield fun(zip(a_s.items, choice)), landings
+        a_s = p.moves[i].items
+        for choice in budget.pi(p.counters[(i, a)] for a in a_s):
+            landings = [(a, p.next[(i, a, d)]) for a, d in zip(a_s, choice)]
+            yield fun(zip(a_s, choice)), landings
 
     return _build_game(p.states, row)

@@ -259,7 +259,8 @@ def equivalent(
     if n != len(t.apex):
         return None
     if n > search_bound:
-        raise SearchRefused("equivalent", n, search_bound)
+        raise SearchRefused("equivalent", n, search_bound,
+                            "apex of {size} points exceeds search bound {bound}")
 
     legs = span_iso(underlying_span(s), underlying_span(t))
     if legs is None:

@@ -6,13 +6,18 @@ quantifier loops so the checker has something to be measured against, and
 ``eq`` wraps the equivalence search with a bound wide enough for every
 composite built in the tests.  ``dump_v1`` is the encoder of the retired
 ``format_version: 1``, kept as the reference the frozen digests were taken
-with.  ``run_cli`` runs one ``polygame`` command line in process.
+with.  ``run_cli`` runs one ``polygame`` command line in process.  The
+``*_total`` functions count, in plain arithmetic, what each builder charges
+its enumeration budget.
 """
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import random
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -30,6 +35,54 @@ def eq(s: Simulation, t: Simulation, mode: str = "full") -> bool:
     """Morphism equality: two-sided span iso respecting the transports."""
     bound = max(16, len(s.apex), len(t.apex))
     return equivalent(s, t, mode, search_bound=bound) is not None
+
+
+# -- enumeration totals -------------------------------------------------------------
+# What each builder charges its budget: its states, then per row the number of
+# arrangements, the product for its moves and the products for its
+# product-shaped counters.  Counters listed as pairs are linear in what was
+# charged already and cost nothing.
+
+
+def lollipop_total(p2, p3) -> int:
+    total = len(p2.states) * len(p3.states)
+    for i2 in p2.states:
+        for i3 in p3.states:
+            # per P2-move a2 and P3-move a3, the maps from a3's counters to a2's
+            pools = [
+                [len(p2.counters[(i2, a2)]) ** len(p3.counters[(i3, a3)]) for a3 in p3.moves[i3]]
+                for a2 in p2.moves[i2]
+            ]
+            total += sum(map(sum, pools)) + math.prod(map(sum, pools))
+    return total
+
+
+def dual_total(p) -> int:
+    return sum(math.prod(len(p.counters[(i, a)]) for a in p.moves[i]) for i in p.states)
+
+
+def _copies_total(p, word) -> int:
+    """One arrangement of copies: its moves, and every move's counters."""
+    moves = math.prod(len(p.moves[u]) for u in word)
+    counters = math.prod(sum(len(p.counters[(u, a)]) for a in p.moves[u]) for u in word)
+    return moves + counters
+
+
+def tensor_power_total(p, k: int) -> int:
+    words = list(itertools.product(p.states.items, repeat=k))
+    return len(words) + sum(_copies_total(p, w) for w in words)
+
+
+def power_total(p, k: int) -> int:
+    total = 0
+    for m in itertools.combinations_with_replacement(p.states.items, k):
+        arrangements = math.factorial(k) // math.prod(map(math.factorial, Counter(m).values()))
+        total += 1 + arrangements * (1 + _copies_total(p, m))
+    return total
+
+
+def bang_total(p, bound: int) -> int:
+    return sum(power_total(p, k) for k in range(bound + 1))
 
 
 class CliResult(NamedTuple):

@@ -1,6 +1,7 @@
 """The command-line surface: documents in, documents out, honest exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -236,6 +237,16 @@ def test_every_builder_refuses_past_the_ceiling(sims, args):
     res = invoke(*(a.format(**sims) for a in args), "--max-enum", "1")
     assert res.exit_code == EXIT_REFUSED, res.stderr
     assert "ceiling" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["power", "coin", "30"], ["bang", "coin", "30"]],
+                         ids=lambda args: args[0])
+def test_thirty_copies_are_refused_at_once(args):
+    start = time.perf_counter()
+    res = invoke(*args)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == EXIT_REFUSED and res.stdout == ""
+    assert "ceiling 10000" in res.stderr
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,4 +1,4 @@
-"""The element grammar: ordering, canonical forms, interning, function enumeration."""
+"""The element grammar: ordering, canonical forms, interning."""
 
 import itertools
 import sys
@@ -12,11 +12,9 @@ from polygame.elements import (
     FiniteSet,
     atom,
     canonicalize,
-    enumerate_functions,
     fun,
     mset,
     pair,
-    product_elements,
     star,
     tup,
 )
@@ -184,31 +182,6 @@ def test_fun_application_and_duplicate_keys():
         f.apply(atom("w"))
     with pytest.raises(ValueError):
         fun([(atom("x"), atom("u")), (atom("x"), atom("v"))])
-
-
-def test_enumerate_functions_counts():
-    a, b, c = atom("a"), atom("b"), atom("c")
-    x, y = atom("x"), atom("y")
-    # |cod| ^ |dom|: 0^0 = 1, 2^1 = 2, 3^2 = 9
-    assert len(enumerate_functions(FiniteSet([]), FiniteSet([]))) == 1
-    assert len(enumerate_functions(FiniteSet([a]), FiniteSet([x, y]))) == 2
-    fns = enumerate_functions(FiniteSet([a, b]), FiniteSet([x, y, c]))
-    assert len(fns) == 9
-    assert len(set(fns)) == 9
-    for f in fns:
-        assert f.apply(a) in (x, y, c)
-        assert f.apply(b) in (x, y, c)
-
-
-def test_enumerate_functions_empty_cod_nonempty_dom():
-    assert enumerate_functions(FiniteSet([atom("a")]), FiniteSet([])) == []
-
-
-def test_product_elements_counts():
-    xs = FiniteSet([atom("a"), atom("b")])
-    ys = FiniteSet([atom("x"), atom("y"), atom("z")])
-    assert len(product_elements(xs, ys)) == 6
-    assert product_elements() == [()]
 
 
 def test_finite_set_is_ordered_and_deduplicated():

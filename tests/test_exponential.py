@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from polygame import exponential
-from polygame.elements import FiniteSet, atom, tup
+from polygame.elements import FiniteSet, atom, mset, tup
 from polygame.exponential import (
     all_msets,
     all_msets_upto,
@@ -38,7 +39,7 @@ from polygame.exponential import (
 from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.games import validate_game
 from polygame.laws import random_simulation, symmetrize_over_power, symmetrize_span
-from polygame.limits import SizeRefused
+from polygame.limits import EnumBudget, SizeRefused
 from polygame.monoidal import dual, lollipop, tensor
 from polygame.simulation import (
     add,
@@ -271,20 +272,26 @@ def test_bang_sim_refuses_before_enumerating(monkeypatch):
 
 
 def test_comul_sim_refuses_its_apex_before_building_it(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("comul_sim built an apex it refuses")
+    built = []
 
-    def bang_then_stop(*args, **kwargs):
+    def counted_pair(*xs):
+        built.append(xs)
+        return real_pair(*xs)
+
+    def bang_then_count(*args, **kwargs):
         g = real_bang(*args, **kwargs)
-        monkeypatch.setattr(exponential, "pair", unreachable)
+        monkeypatch.setattr(exponential, "pair", counted_pair)
         return g
 
-    real_bang = exponential.bang
-    monkeypatch.setattr(exponential, "bang", bang_then_stop)
-    # bang(UNIT, 6) has one state of each size k <= 6, dealt 2**k ways: 127 points
+    real_bang, real_pair = exponential.bang, exponential.pair
+    monkeypatch.setattr(exponential, "bang", bang_then_count)
+    # bang(UNIT, 6) has one state of each size k <= 6, dealt 2**k ways: 127
+    # points; the deals of sizes up to 5 (63 points) fit under the ceiling,
+    # and the 64 of size 6 are refused before any of them is built
     with pytest.raises(SizeRefused) as refused:
         comul_sim(UNIT, 6, max_enum=100)
-    assert (refused.value.what, refused.value.count) == ("comul_sim apex", 127)
+    assert str(refused.value) == "comul_sim apex (cumulative): would enumerate 127 objects (ceiling 100)"
+    assert len(built) == 63
 
 
 def test_enumeration_budget_is_cumulative():
@@ -299,27 +306,53 @@ def test_enumeration_budget_is_cumulative():
 
 
 def test_bang_charges_one_budget_across_its_powers():
-    # the powers 0..3 of COIN charge 3 + 8 + 23 + 76 = 110 rows in all
+    # the powers 0..3 of COIN charge 4 + 10 + 27 + 84 = 125 objects in all
     with pytest.raises(SizeRefused):
-        bang(COIN, 3, max_enum=76)
-    assert bang(COIN, 3, max_enum=110) == bang(COIN, 3)
+        bang(COIN, 3, max_enum=84)
+    assert bang(COIN, 3, max_enum=125) == bang(COIN, 3)
+
+
+@pytest.mark.parametrize("build, seconds, message", [
+    (lambda: tensor_power(COIN, 20), 0.5,
+     "tensor_power (cumulative): would enumerate 1048576 objects (ceiling 10000)"),
+    (lambda: power_game(COIN, 30), 1.0,
+     "power (cumulative): would enumerate 1073741857 objects (ceiling 10000)"),
+    (lambda: bang(COIN, 30), 1.0, "bang (cumulative): would enumerate 10072 objects (ceiling 10000)"),
+], ids=["tensor_power-20", "power_game-30", "bang-30"])
+def test_large_powers_are_refused_before_they_are_built(build, seconds, message):
+    start = time.perf_counter()
+    with pytest.raises(SizeRefused) as refused:
+        build()
+    assert time.perf_counter() - start < seconds
+    assert str(refused.value) == message
+
+
+def test_distinct_arrangements_are_the_sorted_distinct_permutations():
+    a, b, c = atom("a"), atom("b"), atom("c")
+    budget = EnumBudget("arrangements", 10**6)
+    for items in [(), (a,), (a, a), (a, b), (a, a, b), (a, b, b, c), (a, a, b, b, c, c)]:
+        m = mset(items)
+        charged = budget.used
+        arrangements = list(exponential._distinct_arrangements(m, budget))
+        assert arrangements == sorted(set(itertools.permutations(m.items)))
+        assert budget.used - charged == len(arrangements)
 
 
 # Each builder's refusal below its total (and at half of it), word for word:
 # the running total a message names depends on the order of the charges.
 REFUSALS = [
     (lambda m: bang(COIN, 3, max_enum=m), {
-        109: "bang (cumulative): would enumerate 110 objects (ceiling 109)",
-        55: "bang (cumulative): would enumerate 58 objects (ceiling 55)"}),
+        124: "bang (cumulative): would enumerate 125 objects (ceiling 124)",
+        62: "bang (cumulative): would enumerate 67 objects (ceiling 62)"}),
     (lambda m: power_game(COIN, 3, max_enum=m), {
-        75: "power (cumulative): would enumerate 76 objects (ceiling 75)",
-        38: "power (cumulative): would enumerate 40 objects (ceiling 38)"}),
+        83: "power (cumulative): would enumerate 84 objects (ceiling 83)",
+        42: "power (cumulative): would enumerate 44 objects (ceiling 42)"}),
     (lambda m: tensor_power(TRAP, 3, max_enum=m), {
         16: "tensor_power (cumulative): would enumerate 17 objects (ceiling 16)",
         8: "tensor_power (cumulative): would enumerate 9 objects (ceiling 8)"}),
     (lambda m: lollipop(COIN, TRAP, max_enum=m), {
-        27: "lollipop (cumulative): would enumerate 28 objects (ceiling 27)",
-        14: "lollipop (cumulative): would enumerate 16 objects (ceiling 14)"}),
+        19: "lollipop (cumulative): would enumerate 20 objects (ceiling 19)",
+        10: "lollipop (cumulative): would enumerate 12 objects (ceiling 10)"}),
     (lambda m: dual(tensor(COIN, TRAP), max_enum=m), {
         9: "dual (cumulative): would enumerate 10 objects (ceiling 9)",
         5: "dual (cumulative): would enumerate 6 objects (ceiling 5)"}),

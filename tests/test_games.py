@@ -19,7 +19,7 @@ from polygame.games import (
     validate_game,
 )
 from polygame.laws import random_game
-from polygame.limits import SearchRefused
+from polygame.limits import SearchRefused, SizeRefused
 
 from conftest import FIXTURE_GAMES
 
@@ -94,6 +94,15 @@ def test_extension_empty_fiber_propagates():
     ext = extend(COIN, x)
     assert len(ext.fibers[h]) == 0
     assert len(ext.fibers[t]) == 0
+
+
+def test_extension_refuses_past_the_default_ceiling():
+    # each COIN state has one move with two counters: 70**2 + 70**2 = 9800
+    # sections fit under the ceiling of 10000, 71**2 + 71**2 = 10082 do not
+    assert len(extend(COIN, family(COIN.states, [70, 70])).fibers[COIN.states.items[0]]) == 4900
+    with pytest.raises(SizeRefused) as refused:
+        extend(COIN, family(COIN.states, [71, 71]))
+    assert str(refused.value) == "extend (cumulative): would enumerate 10082 objects (ceiling 10000)"
 
 
 def test_extension_base_mismatch_rejected():
@@ -329,5 +338,6 @@ def test_carrier_iso_refinement_answers_no_without_searching(monkeypatch):
 def test_carrier_iso_refuses_past_its_test_bound(monkeypatch):
     monkeypatch.setattr(games, "_ISO_TEST_BOUND", 3)
     g = ring([8])
-    with pytest.raises(SearchRefused):
+    with pytest.raises(SearchRefused) as refused:
         carrier_iso(g, relabelled(g, random.Random(0)))
+    assert str(refused.value) == "carrier_iso: 4 candidate tests exceed bound 3"

@@ -6,7 +6,7 @@ import pytest
 
 from polygame.elements import FiniteSet, atom
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
-from polygame.games import make_game, validate_game
+from polygame.games import carrier_iso, make_game, validate_game
 from polygame.laws import random_simulation
 from polygame.limits import SizeRefused
 from polygame.monoidal import curry, dual, eval_sim, lollipop, tensor, tensor_sim, uncurry
@@ -173,6 +173,13 @@ def test_dual_carrier_matches_lollipop_into_unit():
             counts = sorted(len(d.counters[(st, m)]) for m in d.moves[st])
             lcounts = sorted(len(ell.counters[(lst, m)]) for m in ell.moves[lst])
             assert counts == lcounts
+
+
+@pytest.mark.parametrize("g", [*ALL_FIXTURES.values(), tensor(COIN, TRAP)],
+                         ids=[*ALL_FIXTURES, "coin*trap"])
+def test_dual_is_lollipop_into_unit_up_to_relabelling(g):
+    # negation is the hom into the unit, with its own lighter encoding
+    assert carrier_iso(dual(g), lollipop(g, UNIT)) is not None
 
 
 def test_double_dual_is_not_involutive_on_elements():

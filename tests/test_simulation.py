@@ -211,8 +211,9 @@ def test_duplicated_apex_points_are_observable(rng):
 
 def test_search_bound_refusal_is_uniform():
     big = max_simulation(COIN, COIN)  # apex 4
-    with pytest.raises(SearchRefused):
+    with pytest.raises(SearchRefused) as refused:
         equivalent(big, big, "full", search_bound=3)
+    assert str(refused.value) == "equivalent: apex of 4 points exceeds search bound 3"
     with pytest.raises(SearchRefused):
         equivalent(big, big, "span_only", search_bound=3)
     assert equivalent(big, big, "full", search_bound=4) is not None
