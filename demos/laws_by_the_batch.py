@@ -5,25 +5,25 @@ Run with:  python3 demos/laws_by_the_batch.py [seed ...]
 
 import sys
 
-from polygame.laws import SUITES, run_suite
+from polygame.laws import SUITES, advisory, failing, run_suite
 
 
 def main(argv):
     seeds = [int(a) for a in argv[1:]] or [0, 1, 2]
     width = max(len(s) for s in SUITES)
-    failing = 0
+    failures = 0
     for suite in sorted(SUITES):
         for seed in seeds:
             checks = run_suite(suite, seed)
-            bad = [c for c in checks if not c["ok"] and not c["name"].startswith("info:")]
-            infos = [c for c in checks if c["name"].startswith("info:")]
-            failing += len(bad)
+            bad = failing(checks)
+            infos = [c for c in checks if advisory(c["name"])]
+            failures += len(bad)
             status = "ok" if not bad else "FAIL " + ", ".join(c["name"] for c in bad)
             print(f"  {suite:{width}s} seed={seed:<3d} {len(checks):2d} checks  {status}")
             for c in infos:
                 print(f"  {'':{width}s}          note: {c['details']}")
-    print(f"\ntotal failing checks: {failing}")
-    return 1 if failing else 0
+    print(f"\ntotal failing checks: {failures}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -77,7 +77,10 @@ def canonical_match(u_items: tuple, v_items: tuple) -> Optional[tuple]:
 
 
 def all_perms(k: int) -> list[tuple]:
-    return sorted(itertools.permutations(range(k)))
+    """The permutations of range(k) in lexicographic order, refused past the
+    default ceiling before any is listed."""
+    EnumBudget("all_perms", DEFAULT_MAX_ENUM).charge(factorial(k))
+    return list(itertools.permutations(range(k)))
 
 
 # -- words and multisets -------------------------------------------------------

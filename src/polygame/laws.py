@@ -1,10 +1,23 @@
 """Seeded law batteries, shared by the command line and the test suite.
 
-Each suite runs a deterministic sequence of checks driven by one RNG seed and
-returns a list of ``{"name", "ok", "details"}`` records.  Checks whose name
-starts with ``info:`` are advisory -- they report genuinely computed results
-for properties the library does not promise (and the CLI does not gate its
-exit code on them).
+A law is a :class:`Law` record: a check name, the input scope it ranges over,
+``holds(*case)`` deciding one case, and ``details(cases)`` giving the report
+text.  A suite in :data:`SUITES` is a pair ``(draw, laws)``: ``draw(rng)``
+makes all of the suite's random choices up front and returns ``{scope name:
+list of cases}``.  :func:`run_suite` is the one loop: it draws once from
+``random.Random(seed)``, then reports each law in order as a ``{"name", "ok",
+"details"}`` record, ``ok`` when the law holds on every case of its scope.
+Fixed inputs (the stock fixtures, the canonical maps of a sum) are scopes
+whose cases do not depend on the seed; a value several laws share (the
+composites behind associativity and its detail) is computed once, in the draw.
+
+To check existing laws on new inputs, add a scope: register the laws in
+:data:`SUITES` with a ``draw`` returning cases of the shape they take under
+their scope's name.
+
+Checks whose name is :func:`advisory` (it starts with ``info:``) report
+genuinely computed results for properties the library does not promise;
+:func:`failing`, which the CLI's exit code follows, ignores them.
 
 The random generators here produce *valid* objects by construction: games
 with total tables, and simulations whose transports are chosen among the
@@ -16,66 +29,52 @@ spans carry multiplicities, and laws must survive them.
 from __future__ import annotations
 
 import random
+from math import prod
+from typing import Callable, NamedTuple
 
 from .additive import copair, injection, oplus, pairing, projection, zero_game
 from .elements import Element, FiniteSet, atom, pair, tup
 from .exponential import (
-    all_msets,
-    all_perms,
-    all_words,
-    bang,
-    chat,
-    comul_sim,
-    counit_sim,
-    dereliction_sim,
-    digging_sim,
-    orbit_span,
-    perm_apply,
-    perm_inverse,
-    section_span,
-    span_free_monoid_factor,
-    symmetry_sim,
-    tensor_power,
+    all_msets, all_perms, all_words, bang, bang_sim, chat, comul_sim, counit_sim,
+    dereliction_sim, deriving_sim, digging_sim, factor_through_power, orbit_span, perm_apply,
+    perm_inverse, section_span, span_free_monoid_factor, symmetry_sim, tensor_power,
 )
 from .fixtures import COIN, ONEWAY, TRAP, UNIT, unit_game
 from .games import Game, make_game, validate_game
 from .limits import SizeRefused
-from .monoidal import (
-    curry,
-    dual,
-    eval_sim,
-    lollipop,
-    structural_iso,
-    tensor,
-    tensor_sim,
-    uncurry,
-)
+from .monoidal import curry, dual, eval_sim, lollipop, structural_iso, tensor, tensor_sim, uncurry
 from .simulation import (
-    Simulation,
-    Span,
-    _transport_sim,
-    add,
-    check_simulation,
-    compose,
-    equivalent,
-    identity_sim,
-    span_compose,
-    span_equal,
-    span_identity,
-    zero_sim,
+    Simulation, Span, _transport_sim, add, check_simulation, compose, equivalent, identity_sim,
+    span_compose, span_equal, span_identity, zero_sim,
 )
 from .synthesis import (
-    _relation_simulation,
-    alfred_region,
-    alfred_strategy,
-    dominic_region,
-    dominic_strategy,
+    _relation_simulation, alfred_region, alfred_strategy, dominic_region, dominic_strategy,
     max_simulation,
 )
 
 
 def check(name: str, ok: bool, details: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "details": details}
+
+
+def advisory(name: str) -> bool:
+    """Whether a check of this name only reports, and gates nothing."""
+    return name.startswith("info:")
+
+
+def failing(checks: list[dict]) -> list[dict]:
+    """The checks of a report that fail and gate its verdict."""
+    return [c for c in checks if not c["ok"] and not advisory(c["name"])]
+
+
+class Law(NamedTuple):
+    """A law over one scope: ``holds(*case)`` decides one case of it, and
+    ``details(cases)`` gives the report text for all of them."""
+
+    name: str
+    scope: str
+    holds: Callable[..., bool]
+    details: Callable[[list], str] = lambda cases: ""
 
 
 def _eq(s: Simulation, t: Simulation, mode: str = "full") -> bool:
@@ -135,226 +134,6 @@ def _pick_game(rng: random.Random) -> Game:
     if rng.random() < 0.7:
         return rng.choice(fixture_pool())
     return random_game(rng)
-
-
-# -- suite: category ---------------------------------------------------------------
-
-
-def run_category(seed: int, rounds: int = 12) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    id_ok = True
-    assoc_ok = True
-    valid_ok = True
-    nonempty = 0
-    for n in range(rounds):
-        g1, g2, g3, g4 = (_pick_game(rng) for _ in range(4))
-        s = random_simulation(rng, g1, g2)
-        t = random_simulation(rng, g2, g3)
-        u = random_simulation(rng, g3, g4)
-        for x in (s, t, u):
-            if check_simulation(x):
-                valid_ok = False
-        left = compose(compose(s, t), u)
-        right = compose(s, compose(t, u))
-        if len(left.apex) > 0:
-            nonempty += 1
-        if not _eq(left, right):
-            assoc_ok = False
-        if not _eq(compose(identity_sim(g1), s), s) or not _eq(
-            compose(s, identity_sim(g2)), s
-        ):
-            id_ok = False
-    checks.append(check("generated-simulations-valid", valid_ok))
-    checks.append(check("identity-left-right", id_ok))
-    checks.append(
-        check("associativity", assoc_ok, f"{nonempty}/{rounds} non-trivial composites")
-    )
-    return checks
-
-
-# -- suite: monoidal ----------------------------------------------------------------
-
-
-def _iso_roundtrip(fwd: Simulation, bwd: Simulation) -> bool:
-    return _eq(compose(fwd, bwd), identity_sim(fwd.src)) and _eq(
-        compose(bwd, fwd), identity_sim(bwd.src)
-    )
-
-
-def run_monoidal(seed: int, rounds: int = 6) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-
-    ok = True
-    for kind, games in (
-        ("assoc", (COIN, UNIT, TRAP)),
-        ("unit_l", (COIN,)),
-        ("unit_r", (TRAP,)),
-        ("symmetry", (COIN, TRAP)),
-    ):
-        fwd, bwd = structural_iso(kind, *games)
-        if check_simulation(fwd) or check_simulation(bwd):
-            ok = False
-        if not _iso_roundtrip(fwd, bwd):
-            ok = False
-    checks.append(check("structural-isos-invertible", ok))
-
-    # pentagon: the two routes (P1 P2)(P3 P4) -> P1(P2(P3 P4)) agree
-    p1, p2, p3, p4 = COIN, UNIT, COIN, UNIT
-    a_12_3, _ = structural_iso("assoc", p1, p2, p3)
-    a_1_23_4, _ = structural_iso("assoc", p1, tensor(p2, p3), p4)
-    a_12_3_4, _ = structural_iso("assoc", tensor(p1, p2), p3, p4)
-    a_1_2_34, _ = structural_iso("assoc", p1, p2, tensor(p3, p4))
-    a_2_3_4, _ = structural_iso("assoc", p2, p3, p4)
-    route1 = compose(a_12_3_4, a_1_2_34)
-    route2 = compose(
-        compose(tensor_sim(a_12_3, identity_sim(p4)), a_1_23_4),
-        tensor_sim(identity_sim(p1), a_2_3_4),
-    )
-    checks.append(check("pentagon", _eq(route1, route2)))
-
-    # triangle: (P1 x 1) x P2 -> P1 x P2 both ways round
-    u_r, _ = structural_iso("unit_r", p1)
-    u_l, _ = structural_iso("unit_l", p3)
-    a_mid, _ = structural_iso("assoc", p1, unit_game(), p3)
-    tri1 = compose(a_mid, tensor_sim(identity_sim(p1), u_l))
-    tri2 = tensor_sim(u_r, identity_sim(p3))
-    checks.append(check("triangle", _eq(tri1, tri2)))
-
-    # hexagon: reshuffle a triple product two ways
-    b_1_23, _ = structural_iso("symmetry", p1, tensor(p2, p3))
-    b_12, _ = structural_iso("symmetry", p1, p2)
-    b_13, _ = structural_iso("symmetry", p1, p3)
-    a_231, _ = structural_iso("assoc", p2, p3, p1)
-    a_123, _ = structural_iso("assoc", p1, p2, p3)
-    a_213, _ = structural_iso("assoc", p2, p1, p3)
-    hex1 = compose(compose(a_123, b_1_23), a_231)
-    hex2 = compose(
-        compose(tensor_sim(b_12, identity_sim(p3)), a_213),
-        tensor_sim(identity_sim(p2), b_13),
-    )
-    checks.append(check("hexagon", _eq(hex1, hex2)))
-
-    # currying round trips, strictly, on random simulations out of a tensor
-    strict = True
-    for _ in range(rounds):
-        pa = rng.choice([UNIT, COIN])
-        pb = rng.choice([UNIT, COIN, TRAP])
-        pc = rng.choice([UNIT, COIN, TRAP])
-        s = random_simulation(rng, tensor(pa, pb), pc)
-        cur = curry(s, pa, pb)
-        if check_simulation(cur):
-            strict = False
-        back = uncurry(cur, pa, pb, pc)
-        if back != s:
-            strict = False
-        again = curry(back, pa, pb)
-        if again != cur:
-            strict = False
-    checks.append(check("curry-uncurry-strict-roundtrip", strict))
-
-    # evaluation: curry then apply recovers the map
-    ev_ok = True
-    for _ in range(rounds):
-        pa = rng.choice([UNIT, COIN])
-        pb = rng.choice([UNIT, COIN])
-        pc = rng.choice([UNIT, COIN])
-        s = random_simulation(rng, tensor(pa, pb), pc)
-        lhs = compose(
-            tensor_sim(curry(s, pa, pb), identity_sim(pb)), eval_sim(pb, pc)
-        )
-        if not _eq(lhs, s):
-            ev_ok = False
-    checks.append(check("eval-recovers-curried-map", ev_ok))
-
-    # translation-game fiber counts against the closed-form product formula
-    cnt_ok = True
-    for pa in fixture_pool():
-        for pb in fixture_pool():
-            try:
-                ell = lollipop(pa, pb)
-            except SizeRefused:
-                continue
-            for i2 in pa.states:
-                for i3 in pb.states:
-                    want = 1
-                    for a2 in pa.moves[i2]:
-                        tot = 0
-                        for a3 in pb.moves[i3]:
-                            tot += len(pa.counters[(i2, a2)]) ** len(
-                                pb.counters[(i3, a3)]
-                            )
-                        want *= tot
-                    if len(ell.moves[pair(i2, i3)]) != want:
-                        cnt_ok = False
-    checks.append(check("hom-fiber-count-formula", cnt_ok))
-    return checks
-
-
-# -- suite: biproduct ----------------------------------------------------------------
-
-
-def run_biproduct(seed: int, rounds: int = 6) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-
-    p1, p2 = COIN, TRAP
-    inj1 = injection(p1, p2, 1)
-    inj2 = injection(p1, p2, 2)
-    prj1 = projection(p1, p2, 1)
-    prj2 = projection(p1, p2, 2)
-    matrix_ok = (
-        _eq(compose(inj1, prj1), identity_sim(p1))
-        and _eq(compose(inj2, prj2), identity_sim(p2))
-        and _eq(compose(inj1, prj2), zero_sim(p1, p2))
-        and _eq(compose(inj2, prj1), zero_sim(p2, p1))
-    )
-    checks.append(check("injection-projection-matrix", matrix_ok))
-
-    both = oplus(p1, p2)
-    split_ok = _eq(copair(inj1, inj2), identity_sim(both)) and _eq(
-        pairing(prj1, prj2), identity_sim(both)
-    )
-    checks.append(check("copair-pairing-of-canonical-maps", split_ok))
-
-    rec_ok = True
-    zero_ok = True
-    for _ in range(rounds):
-        q = rng.choice([UNIT, COIN])
-        s1 = random_simulation(rng, p1, q)
-        s2 = random_simulation(rng, p2, q)
-        cp = copair(s1, s2)
-        if not _eq(compose(inj1, cp), s1) or not _eq(compose(inj2, cp), s2):
-            rec_ok = False
-        t1 = random_simulation(rng, q, p1)
-        t2 = random_simulation(rng, q, p2)
-        pr = pairing(t1, t2)
-        if not _eq(compose(pr, prj1), t1) or not _eq(compose(pr, prj2), t2):
-            rec_ok = False
-        # the enrichment: composition distributes over the sum, strictly
-        u = random_simulation(rng, q, p1)
-        v = random_simulation(rng, p1, q)
-        lhs = compose(add(t1, u), v)
-        rhs = add(compose(t1, v), compose(u, v))
-        if not _eq(lhs, rhs):
-            zero_ok = False
-        if not _eq(compose(zero_sim(q, p1), v), zero_sim(q, q)):
-            zero_ok = False
-    checks.append(check("copair-pairing-recover-components", rec_ok))
-    checks.append(check("sum-distributes-over-composition", zero_ok))
-
-    empty = zero_game()
-    checks.append(
-        check(
-            "zero-game-is-empty-sum",
-            not validate_game(empty) and len(empty.states) == 0,
-        )
-    )
-    return checks
-
-
-# -- suite: exponential ---------------------------------------------------------------
 
 
 def perm_element(sigma: tuple) -> Element:
@@ -421,198 +200,394 @@ def symmetrize_span(rng: random.Random, base: FiniteSet, k: int, size: int = 3):
     return phi, witnesses
 
 
-def run_exponential(seed: int, rounds: int = 4, kmax: int = 2, bound: int = 2) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
+# -- suite: category ---------------------------------------------------------------
 
-    # contents-then-arrangement is the identity span, exactly
-    sec_ok = True
-    for base in (COIN.states, TRAP.states):
-        for k in range(kmax + 1):
-            comp = span_compose(section_span(base, k), orbit_span(base, k))
-            if not span_equal(comp, span_identity(all_msets(base, k))):
-                sec_ok = False
-    checks.append(check("section-then-orbit-is-identity", sec_ok))
 
-    # the power-vs-ordered-power comparison equalizes every reshuffle
-    eq_ok = True
-    for k in range(kmax + 1):
-        c = chat(COIN, k)
-        if check_simulation(c):
-            eq_ok = False
-        for sigma in all_perms(k):
-            reshuffled = compose(c, symmetry_sim(COIN, k, sigma))
-            if not _eq(reshuffled, c, "span_only"):
-                eq_ok = False
-    checks.append(check("chat-equalizes-reshuffles", eq_ok))
+def _draw_category(rng: random.Random, rounds: int = 12) -> dict:
+    chains = []
+    for _ in range(rounds):
+        games = [_pick_game(rng) for _ in range(4)]
+        chains.append(tuple(random_simulation(rng, a, b) for a, b in zip(games, games[1:])))
+    composites = [(compose(compose(s, t), u), compose(s, compose(t, u))) for s, t, u in chains]
+    return {"chains": chains, "composites": composites}
 
-    # factoring a symmetric map through the power
-    fac_ok = True
-    from .exponential import factor_through_power
 
+def _unital(s: Simulation, *_) -> bool:
+    return _eq(compose(identity_sim(s.src), s), s) and _eq(compose(s, identity_sim(s.dst)), s)
+
+
+def _nontrivial(cases: list) -> str:
+    return f"{sum(len(left.apex) > 0 for left, _ in cases)}/{len(cases)} non-trivial composites"
+
+
+CATEGORY = [
+    Law("generated-simulations-valid", "chains",
+        lambda *sims: not any(check_simulation(x) for x in sims)),
+    Law("identity-left-right", "chains", _unital),
+    Law("associativity", "composites", _eq, _nontrivial),
+]
+
+
+# -- suite: monoidal ----------------------------------------------------------------
+
+
+def _draw_monoidal(rng: random.Random, rounds: int = 6) -> dict:
+    def maps_out_of_tensors(pas, pbs, pcs):
+        out = []
+        for _ in range(rounds):
+            pa, pb, pc = rng.choice(pas), rng.choice(pbs), rng.choice(pcs)
+            out.append((pa, pb, pc, random_simulation(rng, tensor(pa, pb), pc)))
+        return out
+
+    curried = maps_out_of_tensors([UNIT, COIN], [UNIT, COIN, TRAP], [UNIT, COIN, TRAP])
+    evaluated = maps_out_of_tensors([UNIT, COIN], [UNIT, COIN], [UNIT, COIN])
+    return {
+        "isos": [("assoc", COIN, UNIT, TRAP), ("unit_l", COIN), ("unit_r", TRAP),
+                 ("symmetry", COIN, TRAP)],
+        "quadruples": [(COIN, UNIT, COIN, UNIT)],
+        "curried": curried,
+        "evaluated": evaluated,
+        "fixture-pairs": [(pa, pb) for pa in fixture_pool() for pb in fixture_pool()],
+    }
+
+
+def _invertible(kind: str, *games: Game) -> bool:
+    fwd, bwd = structural_iso(kind, *games)
+    return (
+        not check_simulation(fwd)
+        and not check_simulation(bwd)
+        and _eq(compose(fwd, bwd), identity_sim(fwd.src))
+        and _eq(compose(bwd, fwd), identity_sim(bwd.src))
+    )
+
+
+def _pentagon(p1: Game, p2: Game, p3: Game, p4: Game) -> bool:
+    """The two routes (P1 P2)(P3 P4) -> P1(P2(P3 P4)) agree."""
+    a_12_3, _ = structural_iso("assoc", p1, p2, p3)
+    a_1_23_4, _ = structural_iso("assoc", p1, tensor(p2, p3), p4)
+    a_12_3_4, _ = structural_iso("assoc", tensor(p1, p2), p3, p4)
+    a_1_2_34, _ = structural_iso("assoc", p1, p2, tensor(p3, p4))
+    a_2_3_4, _ = structural_iso("assoc", p2, p3, p4)
+    route1 = compose(a_12_3_4, a_1_2_34)
+    route2 = compose(
+        compose(tensor_sim(a_12_3, identity_sim(p4)), a_1_23_4),
+        tensor_sim(identity_sim(p1), a_2_3_4),
+    )
+    return _eq(route1, route2)
+
+
+def _triangle(p1: Game, _p2: Game, p3: Game, _p4: Game) -> bool:
+    """(P1 x 1) x P3 -> P1 x P3 both ways round."""
+    u_r, _ = structural_iso("unit_r", p1)
+    u_l, _ = structural_iso("unit_l", p3)
+    a_mid, _ = structural_iso("assoc", p1, unit_game(), p3)
+    tri1 = compose(a_mid, tensor_sim(identity_sim(p1), u_l))
+    tri2 = tensor_sim(u_r, identity_sim(p3))
+    return _eq(tri1, tri2)
+
+
+def _hexagon(p1: Game, p2: Game, p3: Game, _p4: Game) -> bool:
+    """A triple product reshuffled two ways agrees."""
+    b_1_23, _ = structural_iso("symmetry", p1, tensor(p2, p3))
+    b_12, _ = structural_iso("symmetry", p1, p2)
+    b_13, _ = structural_iso("symmetry", p1, p3)
+    a_231, _ = structural_iso("assoc", p2, p3, p1)
+    a_123, _ = structural_iso("assoc", p1, p2, p3)
+    a_213, _ = structural_iso("assoc", p2, p1, p3)
+    hex1 = compose(compose(a_123, b_1_23), a_231)
+    hex2 = compose(
+        compose(tensor_sim(b_12, identity_sim(p3)), a_213),
+        tensor_sim(identity_sim(p2), b_13),
+    )
+    return _eq(hex1, hex2)
+
+
+def _curry_roundtrip(pa: Game, pb: Game, pc: Game, s: Simulation) -> bool:
+    """Currying round trips strictly."""
+    cur = curry(s, pa, pb)
+    back = uncurry(cur, pa, pb, pc)
+    return not check_simulation(cur) and back == s and curry(back, pa, pb) == cur
+
+
+def _eval_recovers(pa: Game, pb: Game, pc: Game, s: Simulation) -> bool:
+    """Curry then apply recovers the map."""
+    lhs = compose(tensor_sim(curry(s, pa, pb), identity_sim(pb)), eval_sim(pb, pc))
+    return _eq(lhs, s)
+
+
+def _hom_fiber_counts(pa: Game, pb: Game) -> bool:
+    """Translation-game fibers against the closed-form product formula."""
+    try:
+        ell = lollipop(pa, pb)
+    except SizeRefused:
+        return True
+    return all(
+        len(ell.moves[pair(i2, i3)])
+        == prod(
+            sum(len(pa.counters[(i2, a2)]) ** len(pb.counters[(i3, a3)]) for a3 in pb.moves[i3])
+            for a2 in pa.moves[i2]
+        )
+        for i2 in pa.states
+        for i3 in pb.states
+    )
+
+
+MONOIDAL = [
+    Law("structural-isos-invertible", "isos", _invertible),
+    Law("pentagon", "quadruples", _pentagon),
+    Law("triangle", "quadruples", _triangle),
+    Law("hexagon", "quadruples", _hexagon),
+    Law("curry-uncurry-strict-roundtrip", "curried", _curry_roundtrip),
+    Law("eval-recovers-curried-map", "evaluated", _eval_recovers),
+    Law("hom-fiber-count-formula", "fixture-pairs", _hom_fiber_counts),
+]
+
+
+# -- suite: biproduct ----------------------------------------------------------------
+
+
+def _draw_biproduct(rng: random.Random, rounds: int = 6) -> dict:
+    p1, p2 = COIN, TRAP
+    canonical = (injection(p1, p2, 1), injection(p1, p2, 2),
+                 projection(p1, p2, 1), projection(p1, p2, 2))
+    recovered, distributed = [], []
+    for _ in range(rounds):
+        q = rng.choice([UNIT, COIN])
+        s1, s2, t1, t2, u, v = (random_simulation(rng, a, b) for a, b in (
+            (p1, q), (p2, q), (q, p1), (q, p2), (q, p1), (p1, q)))
+        recovered.append((*canonical, s1, s2, t1, t2))
+        distributed.append((t1, u, v))
+    return {
+        "canonical-maps": [canonical],
+        "recovered": recovered,
+        "distributed": distributed,
+        "empty-sum": [(zero_game(),)],
+    }
+
+
+def _matrix(inj1, inj2, prj1, prj2) -> bool:
+    p1, p2 = inj1.src, inj2.src
+    return (
+        _eq(compose(inj1, prj1), identity_sim(p1))
+        and _eq(compose(inj2, prj2), identity_sim(p2))
+        and _eq(compose(inj1, prj2), zero_sim(p1, p2))
+        and _eq(compose(inj2, prj1), zero_sim(p2, p1))
+    )
+
+
+def _split(inj1, inj2, prj1, prj2) -> bool:
+    both = oplus(inj1.src, inj2.src)
+    return _eq(copair(inj1, inj2), identity_sim(both)) and _eq(
+        pairing(prj1, prj2), identity_sim(both)
+    )
+
+
+def _recovers(inj1, inj2, prj1, prj2, s1, s2, t1, t2) -> bool:
+    cp, pr = copair(s1, s2), pairing(t1, t2)
+    return (
+        _eq(compose(inj1, cp), s1)
+        and _eq(compose(inj2, cp), s2)
+        and _eq(compose(pr, prj1), t1)
+        and _eq(compose(pr, prj2), t2)
+    )
+
+
+def _distributes(t: Simulation, u: Simulation, v: Simulation) -> bool:
+    """Composition distributes over the sum, strictly, and zero absorbs."""
+    q, p = t.src, t.dst
+    return _eq(compose(add(t, u), v), add(compose(t, v), compose(u, v))) and _eq(
+        compose(zero_sim(q, p), v), zero_sim(q, q)
+    )
+
+
+BIPRODUCT = [
+    Law("injection-projection-matrix", "canonical-maps", _matrix),
+    Law("copair-pairing-of-canonical-maps", "canonical-maps", _split),
+    Law("copair-pairing-recover-components", "recovered", _recovers),
+    Law("sum-distributes-over-composition", "distributed", _distributes),
+    Law("zero-game-is-empty-sum", "empty-sum",
+        lambda empty: not validate_game(empty) and len(empty.states) == 0),
+]
+
+
+# -- suite: exponential ---------------------------------------------------------------
+
+
+def _draw_exponential(rng: random.Random, rounds: int = 4, kmax: int = 2, bound: int = 2) -> dict:
+    maps = []
     for _ in range(rounds):
         k = rng.randint(1, kmax)
         q = rng.choice([UNIT, COIN])
-        u = random_simulation(rng, q, tensor_power(COIN, k))
-        s = symmetrize_over_power(u, COIN, k)
-        if check_simulation(s):
-            fac_ok = False
-            continue
-        f = factor_through_power(s, COIN, k)
-        if check_simulation(f):
-            fac_ok = False
-        back = compose(f, chat(COIN, k))
-        if not _eq(back, s, "span_only"):
-            fac_ok = False
-    checks.append(check("factor-through-power-recovers-map", fac_ok))
-
-    # pushing coequalizing spans of words down to contents
-    span_ok = True
+        maps.append((COIN, k, random_simulation(rng, q, tensor_power(COIN, k))))
+    base = FiniteSet([atom("u"), atom("v")])
+    spans = []
     for _ in range(rounds):
         k = rng.randint(1, kmax)
-        base = FiniteSet([atom("u"), atom("v")])
-        phi, wit = symmetrize_span(rng, base, k)
-        psi, eps = span_free_monoid_factor(phi, base, k, witnesses=wit)
-        comp = span_compose(orbit_span(base, k), psi)
-        if not span_equal(comp, phi):
-            span_ok = False
-        if sorted(eps.keys(), key=lambda e: e.key) != list(phi.apex):
-            span_ok = False
-        if len(set(eps.values())) != len(phi.apex) or len(comp.apex) != len(phi.apex):
-            span_ok = False
-    checks.append(check("reshuffle-invariant-spans-factor", span_ok))
+        spans.append((base, k, *symmetrize_span(rng, base, k)))
+    return {
+        "contents": [(b, k) for b in (COIN.states, TRAP.states) for k in range(kmax + 1)],
+        "powers": [(COIN, k) for k in range(kmax + 1)],
+        "symmetric-maps": maps,
+        "symmetric-spans": spans,
+        "fixtures": [(p, bound) for p in (UNIT, COIN, TRAP)],
+        "comonad": [(COIN, bound)],
+    }
 
-    # comonoid laws for the replay game, on the stock fixtures
-    cm_ok = True
-    for p in (UNIT, COIN, TRAP):
-        bp = bang(p, bound)
-        dup = comul_sim(p, bound)
-        dis = counit_sim(p, bound)
-        ident = identity_sim(bp)
-        if check_simulation(dup) or check_simulation(dis):
-            cm_ok = False
-        u_l, _ = structural_iso("unit_l", bp)
-        u_r, _ = structural_iso("unit_r", bp)
-        left_counit = compose(compose(dup, tensor_sim(dis, ident)), u_l)
-        right_counit = compose(compose(dup, tensor_sim(ident, dis)), u_r)
-        if not _eq(left_counit, ident) or not _eq(right_counit, ident):
-            cm_ok = False
-        a_fwd, _ = structural_iso("assoc", bp, bp, bp)
-        coassoc_l = compose(compose(dup, tensor_sim(dup, ident)), a_fwd)
-        coassoc_r = compose(dup, tensor_sim(ident, dup))
-        if not _eq(coassoc_l, coassoc_r):
-            cm_ok = False
-        swap, _ = structural_iso("symmetry", bp, bp)
-        if not _eq(compose(dup, swap), dup):
-            cm_ok = False
-    checks.append(check("replay-comonoid-laws", cm_ok))
 
-    # extraction, prepending, and iteration are valid simulations
-    from .exponential import deriving_sim
+def _chat_equalizes(p: Game, k: int) -> bool:
+    c = chat(p, k)
+    return not check_simulation(c) and all(
+        _eq(compose(c, symmetry_sim(p, k, sigma)), c, "span_only") for sigma in all_perms(k)
+    )
 
-    v_ok = True
-    for p in (UNIT, COIN, TRAP):
-        if check_simulation(dereliction_sim(p, bound)):
-            v_ok = False
-        if check_simulation(deriving_sim(p, bound)):
-            v_ok = False
-        if check_simulation(digging_sim(p, bound)):
-            v_ok = False
-    checks.append(check("extract-prepend-iterate-valid", v_ok))
 
-    # advisory: iteration's comonad laws at this scale (an open corner of the
-    # bounded construction -- reported, not promised)
-    from .exponential import bang_sim
+def _factors_through_power(p: Game, k: int, u: Simulation) -> bool:
+    s = symmetrize_over_power(u, p, k)
+    if check_simulation(s):
+        return False
+    f = factor_through_power(s, p, k)
+    return not check_simulation(f) and _eq(compose(f, chat(p, k)), s, "span_only")
 
+
+def _span_factors(base: FiniteSet, k: int, phi: Span, witnesses: dict) -> bool:
+    psi, eps = span_free_monoid_factor(phi, base, k, witnesses=witnesses)
+    comp = span_compose(orbit_span(base, k), psi)
+    return (
+        span_equal(comp, phi)
+        and sorted(eps, key=lambda e: e.key) == list(phi.apex)
+        and len(set(eps.values())) == len(phi.apex) == len(comp.apex)
+    )
+
+
+def _comonoid(p: Game, bound: int) -> bool:
+    """Counit laws, coassociativity and cocommutativity of the replay game."""
+    bp = bang(p, bound)
+    dup = comul_sim(p, bound)
+    dis = counit_sim(p, bound)
+    ident = identity_sim(bp)
+    if check_simulation(dup) or check_simulation(dis):
+        return False
+    u_l, _ = structural_iso("unit_l", bp)
+    u_r, _ = structural_iso("unit_r", bp)
+    a_fwd, _ = structural_iso("assoc", bp, bp, bp)
+    swap, _ = structural_iso("symmetry", bp, bp)
+    return (
+        _eq(compose(compose(dup, tensor_sim(dis, ident)), u_l), ident)
+        and _eq(compose(compose(dup, tensor_sim(ident, dis)), u_r), ident)
+        and _eq(compose(compose(dup, tensor_sim(dup, ident)), a_fwd),
+                compose(dup, tensor_sim(ident, dup)))
+        and _eq(compose(dup, swap), dup)
+    )
+
+
+def _comonad_notes(cases: list) -> str:
+    """Iteration's comonad laws at this scale: an open corner of the bounded
+    construction, reported and not promised."""
     info = []
-    for p in (COIN,):
+    for p, bound in cases:
         bp = bang(p, bound)
         dig = digging_sim(p, bound)
         der = dereliction_sim(p, bound)
         ident = identity_sim(bp)
-        law2 = compose(dig, dereliction_sim(bp, bound))
-        law2_ok = _eq(law2, ident)
+        law2_ok = _eq(compose(dig, dereliction_sim(bp, bound)), ident)
         law1 = compose(dig, bang_sim(der, bound))
-        law1_full = _eq(law1, ident)
-        law1_span = _eq(law1, ident, "span_only")
         info.append(f"extract-after-iterate full={law2_ok}")
-        info.append(f"promote-extract-after-iterate full={law1_full} span={law1_span}")
-    checks.append(check("info:iterate-comonad-laws", True, "; ".join(info)))
-    return checks
+        info.append(f"promote-extract-after-iterate full={_eq(law1, ident)} "
+                    f"span={_eq(law1, ident, 'span_only')}")
+    return "; ".join(info)
+
+
+EXPONENTIAL = [
+    Law("section-then-orbit-is-identity", "contents", lambda base, k: span_equal(
+        span_compose(section_span(base, k), orbit_span(base, k)),
+        span_identity(all_msets(base, k)))),
+    Law("chat-equalizes-reshuffles", "powers", _chat_equalizes),
+    Law("factor-through-power-recovers-map", "symmetric-maps", _factors_through_power),
+    Law("reshuffle-invariant-spans-factor", "symmetric-spans", _span_factors),
+    Law("replay-comonoid-laws", "fixtures", _comonoid),
+    Law("extract-prepend-iterate-valid", "fixtures", lambda p, bound: not any(
+        check_simulation(make(p, bound)) for make in (dereliction_sim, deriving_sim, digging_sim))),
+    Law("info:iterate-comonad-laws", "comonad", lambda p, bound: True, _comonad_notes),
+]
 
 
 # -- suite: synthesis ----------------------------------------------------------------
 
 
-def run_synthesis(seed: int, rounds: int = 10) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
+def _draw_synthesis(rng: random.Random, rounds: int = 10) -> dict:
+    games = []
+    for _ in range(rounds):
+        g = _pick_game(rng)
+        games.append((g, random_simulation(rng, unit_game(), g),
+                      random_simulation(rng, g, unit_game())))
+    pairs = []
+    for _ in range(rounds):
+        g1, g2 = _pick_game(rng), _pick_game(rng)
+        pairs.append((g1, g2, random_simulation(rng, g1, g2)))
+    return {"fixed": [()], "games": games, "pairs": pairs}
 
-    ok_fix = (
+
+def _fixture_regions() -> bool:
+    return (
         len(alfred_region(TRAP).states) == 0
         and set(alfred_region(ONEWAY).states) == {atom("ok")}
         and set(dominic_region(TRAP).states) == {atom("ok"), atom("dead")}
         and len(dominic_strategy(ONEWAY).apex) == 2
         and len(max_simulation(COIN, COIN).apex) == 4
     )
-    checks.append(check("fixture-regions-and-strategies", ok_fix))
 
-    sound = True
-    complete = True
-    bridge = True
-    for _ in range(rounds):
-        g = _pick_game(rng)
-        st_a = alfred_strategy(g)
-        st_d = dominic_strategy(g)
-        if check_simulation(st_a) or check_simulation(st_d):
-            sound = False
-        # any surviving simulation's footprint sits inside the region
-        fuzz_a = random_simulation(rng, unit_game(), g)
-        if not {fuzz_a.leg2[r] for r in fuzz_a.apex} <= set(alfred_region(g).states):
-            complete = False
-        fuzz_d = random_simulation(rng, g, unit_game())
-        if not {fuzz_d.leg1[r] for r in fuzz_d.apex} <= set(dominic_region(g).states):
-            complete = False
-        try:
-            flipped = dual(g)
-        except SizeRefused:
-            continue
-        if set(alfred_region(flipped).states) != set(dominic_region(g).states):
-            bridge = False
-    checks.append(check("strategies-are-valid-simulations", sound))
-    checks.append(check("surviving-footprints-inside-region", complete))
-    checks.append(check("negation-swaps-the-regions", bridge))
 
-    m_ok = True
-    for _ in range(rounds):
-        g1 = _pick_game(rng)
-        g2 = _pick_game(rng)
-        best = max_simulation(g1, g2)
-        if check_simulation(best):
-            m_ok = False
-        fuzz = random_simulation(rng, g1, g2)
-        best_pairs = {(best.leg1[r], best.leg2[r]) for r in best.apex}
-        fuzz_pairs = {(fuzz.leg1[r], fuzz.leg2[r]) for r in fuzz.apex}
-        if not fuzz_pairs <= best_pairs:
-            m_ok = False
-    checks.append(check("largest-relation-dominates-fuzz", m_ok))
-    return checks
+def _footprints_inside(g: Game, into: Simulation, out_of: Simulation) -> bool:
+    """Any surviving simulation's footprint sits inside the region."""
+    return {into.leg2[r] for r in into.apex} <= set(alfred_region(g).states) and {
+        out_of.leg1[r] for r in out_of.apex
+    } <= set(dominic_region(g).states)
+
+
+def _negation_swaps(g: Game, *_) -> bool:
+    try:
+        flipped = dual(g)
+    except SizeRefused:
+        return True
+    return set(alfred_region(flipped).states) == set(dominic_region(g).states)
+
+
+def _dominates(g1: Game, g2: Game, fuzz: Simulation) -> bool:
+    best = max_simulation(g1, g2)
+    return not check_simulation(best) and {(fuzz.leg1[r], fuzz.leg2[r]) for r in fuzz.apex} <= {
+        (best.leg1[r], best.leg2[r]) for r in best.apex
+    }
+
+
+SYNTHESIS = [
+    Law("fixture-regions-and-strategies", "fixed", _fixture_regions),
+    Law("strategies-are-valid-simulations", "games", lambda g, *_: not check_simulation(
+        alfred_strategy(g)) and not check_simulation(dominic_strategy(g))),
+    Law("surviving-footprints-inside-region", "games", _footprints_inside),
+    Law("negation-swaps-the-regions", "games", _negation_swaps),
+    Law("largest-relation-dominates-fuzz", "pairs", _dominates),
+]
 
 
 SUITES = {
-    "category": run_category,
-    "monoidal": run_monoidal,
-    "biproduct": run_biproduct,
-    "exponential": run_exponential,
-    "synthesis": run_synthesis,
+    "category": (_draw_category, CATEGORY),
+    "monoidal": (_draw_monoidal, MONOIDAL),
+    "biproduct": (_draw_biproduct, BIPRODUCT),
+    "exponential": (_draw_exponential, EXPONENTIAL),
+    "synthesis": (_draw_synthesis, SYNTHESIS),
 }
 
 
 def run_suite(name: str, seed: int) -> list[dict]:
     try:
-        runner = SUITES[name]
+        draw, laws = SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
-    return runner(seed)
+    scopes = draw(random.Random(seed))
+    return [
+        check(law.name, all(law.holds(*case) for case in scopes[law.scope]),
+              law.details(scopes[law.scope]))
+        for law in laws
+    ]

@@ -40,6 +40,7 @@ from polygame.games import FamilySet, extend, validate_game
 from polygame.laws import (
     random_game,
     random_simulation,
+    run_suite,
     symmetrize_over_power,
     symmetrize_span,
 )
@@ -265,9 +266,7 @@ def test_criterion_06_powers_and_comonoid():
         if check_simulation(f) or not eq(compose(f, chat(COIN, 2)), phi, "span_only"):
             bad.append(f"factor {n}")
     # comonoid laws at full equivalence, bound 2, on all three fixtures
-    from polygame.laws import run_exponential
-
-    checks = {c["name"]: c for c in run_exponential(0)}
+    checks = {c["name"]: c for c in run_suite("exponential", 0)}
     if not checks["replay-comonoid-laws"]["ok"]:
         bad.append("comonoid: " + checks["replay-comonoid-laws"]["details"])
     verdict(6, bad == [], f"powers, factoring, comonoid laws ({'; '.join(bad) or 'all hold'})")

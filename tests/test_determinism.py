@@ -75,7 +75,7 @@ EQUIVALENT_MAPPINGS = """
 import hashlib
 import random
 from polygame.fixtures import COIN, ONEWAY, TRAP
-from polygame.laws import _pick_game, random_simulation
+from polygame.laws import SUITES, random_simulation
 from polygame.simulation import compose, equivalent, identity_sim
 
 def pin(name, s, t):
@@ -84,14 +84,12 @@ def pin(name, s, t):
     text = "none" if iso is None else ";".join(pairs)
     print(name, hashlib.sha256(text.encode()).hexdigest())
 
-# the category suite's associativity pairs, drawn as run_category draws them
+# the category suite's associativity pairs, as its draw makes them
+draw, _ = SUITES["category"]
 for seed, rounds in ((0, (2, 5, 9)), (11, (0, 3, 6))):
-    rng = random.Random(seed)
-    for n in range(max(rounds) + 1):
-        g1, g2, g3, g4 = (_pick_game(rng) for _ in range(4))
-        s, t, u = (random_simulation(rng, a, b) for a, b in ((g1, g2), (g2, g3), (g3, g4)))
-        if n in rounds:
-            pin(f"assoc-{seed}-{n}", compose(compose(s, t), u), compose(s, compose(t, u)))
+    composites = draw(random.Random(seed))["composites"]
+    for n in rounds:
+        pin(f"assoc-{seed}-{n}", *composites[n])
 # duplicated witnesses: twins the search must tell apart, or pair in order
 for k, (g1, g2) in enumerate(((COIN, COIN), (TRAP, COIN), (ONEWAY, COIN))):
     s = random_simulation(random.Random(k), g1, g2, dup_chance=0.5)

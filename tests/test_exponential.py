@@ -38,7 +38,7 @@ from polygame.exponential import (
 )
 from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.games import validate_game
-from polygame.laws import random_simulation, symmetrize_over_power, symmetrize_span
+from polygame.laws import random_simulation, run_suite, symmetrize_over_power, symmetrize_span
 from polygame.limits import EnumBudget, SizeRefused
 from polygame.monoidal import dual, lollipop, tensor
 from polygame.simulation import (
@@ -220,9 +220,7 @@ def test_comul_apex_matches_binomial_oracle():
 
 # counit laws, coassociativity, cocommutativity -- all strict here
 def test_comonoid_laws_at_full_equivalence():
-    from polygame.laws import run_exponential
-
-    checks = {c["name"]: c for c in run_exponential(0)}
+    checks = {c["name"]: c for c in run_suite("exponential", 0)}
     assert checks["replay-comonoid-laws"]["ok"], checks["replay-comonoid-laws"]["details"]
 
 
@@ -325,6 +323,20 @@ def test_large_powers_are_refused_before_they_are_built(build, seconds, message)
         build()
     assert time.perf_counter() - start < seconds
     assert str(refused.value) == message
+
+
+def test_all_perms_charges_k_factorial_before_listing():
+    for k in range(8):
+        assert all_perms(k) == sorted(itertools.permutations(range(k)))
+    with pytest.raises(SizeRefused) as refused:
+        all_perms(8)
+    assert str(refused.value) == "all_perms (cumulative): would enumerate 40320 objects (ceiling 10000)"
+    # the reshuffle witnesses of a one-letter span of length 9 would need 9! bijections
+    one = FiniteSet([atom("a")])
+    start = time.perf_counter()
+    with pytest.raises(SizeRefused):
+        span_free_monoid_factor(span_identity(all_words(one, 9)), one, 9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_distinct_arrangements_are_the_sorted_distinct_permutations():

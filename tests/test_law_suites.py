@@ -1,21 +1,50 @@
 """The bundled law suites stay green on fresh seeds (the CLI gates on these)."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from polygame.laws import SUITES, run_suite
+from polygame.fixtures import COIN, ONEWAY
+from polygame.laws import SUITES, Law, advisory, check, failing, run_suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("seed", [0, 11])
 def test_suite_passes(suite, seed):
     checks = run_suite(suite, seed)
-    failing = [c for c in checks if not c["ok"] and not c["name"].startswith("info:")]
-    assert failing == [], failing
+    assert failing(checks) == []
+    assert all(c["ok"] for c in checks if advisory(c["name"]))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_law_table_names_unique_and_scopes_drawn(suite):
+    draw, laws = SUITES[suite]
+    names = [law.name for law in laws]
+    assert len(set(names)) == len(names)
+    scopes = draw(random.Random(0))
+    assert {law.scope for law in laws} <= set(scopes)
+
+
+# a scope no suite draws, through the same loop: the replay game's laws on a
+# fixture the exponential suite leaves out
+def test_exponential_fixture_laws_hold_on_a_new_scope(monkeypatch):
+    _, laws = SUITES["exponential"]
+    replay = [law for law in laws if law.scope == "fixtures"]
+    assert [law.name for law in replay] == ["replay-comonoid-laws", "extract-prepend-iterate-valid"]
+    monkeypatch.setitem(SUITES, "oneway", (lambda rng: {"fixtures": [(ONEWAY, 2)]}, replay))
+    assert run_suite("oneway", 0) == [check(law.name, True) for law in replay]
+
+
+def test_one_failing_case_fails_the_law_and_only_gating_laws_fail_a_report(monkeypatch):
+    laws = [Law("coin-only", "games", lambda g: g is COIN), Law("info:never", "games", lambda g: False)]
+    monkeypatch.setitem(SUITES, "mixed", (lambda rng: {"games": [(COIN,), (ONEWAY,)]}, laws))
+    report = run_suite("mixed", 0)
+    assert [c["ok"] for c in report] == [False, False]
+    assert failing(report) == [check("coin-only", False)]
 
 
 def test_unknown_suite_is_rejected():
