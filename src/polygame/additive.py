@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .elements import FiniteSet, atom, pair
-from .games import Game, _build_game
+from .games import Game, _build_game, _shared
 from .simulation import (
     Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span
 )
@@ -32,6 +32,7 @@ def zero_game() -> Game:
     return Game(FiniteSet(), {}, {}, {})
 
 
+@_shared
 def oplus(p1: Game, p2: Game) -> Game:
     """Tagged disjoint union; every layer is tagged, nothing is shared."""
     summands = {pair(tag, i): (tag, p, i) for tag, p in ((_L, p1), (_R, p2)) for i in p.states}

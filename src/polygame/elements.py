@@ -15,12 +15,12 @@ Elements are immutable and totally ordered by a global order, so every
 enumeration downstream is reproducible byte for byte.  Multisets and function
 graphs are canonicalised at construction.
 
-Elements are hash-consed: the factories below look every term up in one
-process-wide intern table, keyed by its kind and its canonical data (the
+Elements are hash-consed: the factories below look every term up in the
+process-wide intern table of its kind, keyed by its canonical data (the
 child elements, themselves interned), and build it only on a miss.  Each
 distinct term therefore exists exactly once, equality is identity, and
 hashing is the interpreter's identity hash: O(1), with no Python-level call.
-``key`` is kept for the global order only.  The table holds its elements
+``key`` is kept for the global order only.  The tables hold their elements
 strongly for the life of the process; that is safe because real traffic
 reuses a small vocabulary -- over twelve seeds of the exponential law suite,
 1.9 million constructions yield about 5,000 distinct elements -- and sharing
@@ -139,24 +139,40 @@ class Element:
         raise AssertionError(k)
 
 
-# The intern table: (kind, canonical data) -> the one element of that term.
-_TABLE: dict[tuple, Element] = {}
+class _Pair(Element):
+    """A pair, its components held in slots: ``fst`` and ``snd`` read them
+    directly rather than through the properties every other element raises
+    from."""
+
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, kind: str, data, key):
+        Element.__init__(self, kind, data, key)
+        object.__setattr__(self, "fst", data[0])
+        object.__setattr__(self, "snd", data[1])
+
+
+# The intern tables, one per kind: canonical data -> the one element of that
+# term.  Keying each kind apart spares every element a (kind, data) key.
+_TABLES: dict[str, dict] = {kind: {} for kind in ("atom", "star", "pair", "tuple", "mset", "fun")}
+_ATOMS, _, _PAIRS, _TUPLES, _MSETS, _FUNS = _TABLES.values()
 _KEY = attrgetter("key")
 
 
 def _intern(kind: str, data, key) -> Element:
-    """Build and record the element of a term the table does not hold yet.
+    """Build and record the element of a term its kind's table does not hold yet.
 
     ``setdefault`` is one atomic step, so two threads missing on the same
     term at once still end up sharing whichever element got in first.
     """
-    return _TABLE.setdefault((kind, data), Element(kind, data, key))
+    make = _Pair if kind == "pair" else Element
+    return _TABLES[kind].setdefault(data, make(kind, data, key))
 
 
 def atom(name: str) -> Element:
     """A named token.  The name must be a nonempty string, and not "star"."""
     try:
-        return _TABLE[("atom", name)]
+        return _ATOMS[name]
     except (KeyError, TypeError):  # a miss, or an unhashable argument
         pass
     if not isinstance(name, str) or not name:
@@ -177,7 +193,7 @@ def star() -> Element:
 def pair(a: Element, b: Element) -> Element:
     data = (a, b)
     try:
-        return _TABLE[("pair", data)]
+        return _PAIRS[data]
     except (KeyError, TypeError):  # a miss, or an unhashable argument
         pass
     _want(a)
@@ -188,7 +204,7 @@ def pair(a: Element, b: Element) -> Element:
 def tup(*items: Element) -> Element:
     """A word: finite ordered sequence, any length (including zero)."""
     try:
-        return _TABLE[("tuple", items)]
+        return _TUPLES[items]
     except (KeyError, TypeError):  # a miss, or an unhashable argument
         pass
     for e in items:
@@ -200,7 +216,7 @@ def mset(items: Iterable[Element]) -> Element:
     """A finite multiset; the canonical form stores copies in sorted order."""
     data = tuple(sorted(items, key=_KEY))
     try:
-        return _TABLE[("mset", data)]
+        return _MSETS[data]
     except (KeyError, TypeError):  # a miss, or an unhashable argument
         pass
     for e in data:
@@ -221,10 +237,10 @@ def fun(graph: Mapping[Element, Element] | Iterable[tuple[Element, Element]]) ->
     for k, v in entries:
         _want(k)
         _want(v)
-    # entries as tuples, so that the graph can be part of a table key
+    # entries as tuples, so that the graph can key the table
     data = tuple(sorted(((k, v) for k, v in entries), key=lambda kv: kv[0].key))
     try:
-        return _TABLE[("fun", data)]
+        return _FUNS[data]
     except KeyError:
         pass
     for (k1, _), (k2, _) in zip(data, data[1:]):
@@ -271,7 +287,8 @@ class FiniteSet:
     def __init__(self, items: Iterable[Element] = ()):
         seen = {}
         for e in items:
-            _want(e)
+            if not isinstance(e, Element):
+                _want(e)  # raises
             seen[e] = None
         ordered = tuple(sorted(seen, key=_KEY))
         object.__setattr__(self, "_items", ordered)

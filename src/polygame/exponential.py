@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 
 from .elements import Element, FiniteSet, atom, mset, pair, star, tup
 from .fixtures import unit_game
-from .games import Game, _build_game
+from .games import Game, _build_game, _shared
 from .limits import DEFAULT_MAX_ENUM, EnumBudget, SizeRefused
 from .monoidal import tensor
 from .simulation import (
@@ -76,10 +76,10 @@ def canonical_match(u_items: tuple, v_items: tuple) -> Optional[tuple]:
     return tuple(sigma)
 
 
-def all_perms(k: int) -> list[tuple]:
-    """The permutations of range(k) in lexicographic order, refused past the
-    default ceiling before any is listed."""
-    EnumBudget("all_perms", DEFAULT_MAX_ENUM).charge(factorial(k))
+def all_perms(k: int, max_enum: int = DEFAULT_MAX_ENUM) -> list[tuple]:
+    """The permutations of range(k) in lexicographic order, refused past
+    ``max_enum`` before any is listed."""
+    EnumBudget("all_perms", max_enum).charge(factorial(k))
     return list(itertools.permutations(range(k)))
 
 
@@ -134,6 +134,7 @@ def _rearrangements(word: tuple):
 # -- the two powers -------------------------------------------------------------
 
 
+@_shared
 def tensor_power(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """k ordered copies played in lockstep."""
     if k < 0:
@@ -145,6 +146,7 @@ def tensor_power(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     return _build_game(states, row)
 
 
+@_shared
 def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """k copies up to reshuffling.
 
@@ -315,12 +317,14 @@ def _reshuffle(sigma: tuple, leg: int):
     return lambda k: (k[0], tup(*perm_apply(sigma, k[1].items)))
 
 
-def _reshuffle_witnesses(x, k: int, leg: int) -> Optional[dict]:
+def _reshuffle_witnesses(
+    x, k: int, leg: int, max_enum: int = DEFAULT_MAX_ENUM
+) -> Optional[dict]:
     """Per-permutation apex bijections of x (a span or a simulation) that
     reshuffle the word on ``leg`` and keep the other leg; None if none exist."""
     fibers = _fibers(x)
     out = {}
-    for sigma in all_perms(k):
+    for sigma in all_perms(k, max_enum):
         h = _pair_fibers(fibers, fibers, _reshuffle(sigma, leg))
         if h is None:
             return None
@@ -328,10 +332,12 @@ def _reshuffle_witnesses(x, k: int, leg: int) -> Optional[dict]:
     return out
 
 
-def _check_witnesses(x, k: int, witnesses: dict, leg: int) -> None:
+def _check_witnesses(
+    x, k: int, witnesses: dict, leg: int, max_enum: int = DEFAULT_MAX_ENUM
+) -> None:
     """Raise ValueError unless, for every permutation, ``witnesses`` holds an
     apex bijection of x that reshuffles the word on ``leg`` and keeps the other leg."""
-    for sigma in all_perms(k):
+    for sigma in all_perms(k, max_enum):
         if sigma not in witnesses:
             raise ValueError(f"missing witness for permutation {sigma!r}")
         h = witnesses[sigma]
@@ -343,15 +349,17 @@ def _check_witnesses(x, k: int, witnesses: dict, leg: int) -> None:
                 raise ValueError(f"witness for {sigma!r} breaks the legs at {r.text()}")
 
 
-def find_symmetry_witnesses(s: Simulation, k: int) -> Optional[dict]:
+def find_symmetry_witnesses(
+    s: Simulation, k: int, max_enum: int = DEFAULT_MAX_ENUM
+) -> Optional[dict]:
     """Per-permutation apex bijections H with leg2 o H = sigma o leg2, leg1 o H = leg1.
 
     Exists exactly when the apex is symmetric over the ordered power: the
     fiber over (q, word) always matches the fiber over (q, reshuffled word)
     in size.  The canonical witness pairs sorted fibers.  Returns None when
-    some fiber counts disagree.
+    some fiber counts disagree.  The k! permutations are charged to ``max_enum``.
     """
-    return _reshuffle_witnesses(s, k, 2)
+    return _reshuffle_witnesses(s, k, 2, max_enum)
 
 
 def factor_through_power(
@@ -371,11 +379,11 @@ def factor_through_power(
     if s.dst != tensor_power(p, k, max_enum=max_enum):
         raise ValueError("factor_through_power: target is not the ordered power")
     if witnesses is None:
-        witnesses = find_symmetry_witnesses(s, k)
+        witnesses = find_symmetry_witnesses(s, k, max_enum)
         if witnesses is None:
             raise ValueError("apex is not symmetric: no witnesses exist")
     else:
-        _check_witnesses(s, k, witnesses, 2)
+        _check_witnesses(s, k, witnesses, 2, max_enum)
 
     dst = power_game(p, k, max_enum=max_enum)
     pts = {}
@@ -473,6 +481,7 @@ def span_free_monoid_factor(
 # -- bounded replay ---------------------------------------------------------------
 
 
+@_shared
 def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """Up to ``bound`` simultaneous replays: the powers 0..bound side by side.
 

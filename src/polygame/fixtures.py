@@ -17,7 +17,12 @@ from .games import Game, make_game
 
 
 def unit_game() -> Game:
-    """The monoidal unit: a single position where play idles."""
+    """The monoidal unit: a single position where play idles.  Always the one
+    ``UNIT``, so that builders can share what they make from it."""
+    return UNIT
+
+
+def _unit() -> Game:
     s = star()
     return make_game([s], {s: [s]}, {(s, s): [s]}, {(s, s, s): s})
 
@@ -63,7 +68,7 @@ def _oneway() -> Game:
     )
 
 
-UNIT = unit_game()
+UNIT = _unit()
 COIN = _coin()
 TRAP = _trap()
 ONEWAY = _oneway()

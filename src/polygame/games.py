@@ -18,11 +18,21 @@ and ``g.next[(i, a, d)]``.  Every builder writes them through one constructor,
 ``_build_game``, which asks a row function for each state's moves, counters
 and successors; only it, :func:`make_game` (loose tables from fixtures and
 tests) and the document decoder key the counter and successor tables.
+
+The pure builders (``tensor``, ``oplus``, ``lollipop``, ``dual``,
+``tensor_power``, ``power_game`` and ``bang``) share their results: while a
+result and the games it was built from are alive, an equal call returns that
+same object (see :func:`_shared`).  A game's tables must therefore never be
+mutated, since a shared result may be in use elsewhere.  Nothing switches the
+sharing off; equality of games stays structural.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -80,6 +90,55 @@ def _build_game(states, row) -> Game:
                 nxt[(i, a, d)] = j
         moves[i] = FiniteSet(ms)
     return Game(FiniteSet(seen), moves, counters, nxt)
+
+
+# call key -> (weak refs to the call's game arguments, weak ref to its result)
+_SHARED: dict = {}
+
+
+def _shared(build):
+    """Share the result of the pure game builder ``build`` while it is held.
+
+    A call is keyed on the builder, the identity of each game argument and the
+    value of every other parameter, defaults filled in, so ``bang(p, 2)`` and
+    ``bang(p, 2, max_enum=DEFAULT_MAX_ENUM)`` are one entry.  An entry holds
+    only weak references to its games, and the first of them (argument or
+    result) to die drops it.  So the table keeps no game alive, a refused build
+    stores nothing (a repeat refuses the same way), and a fresh process costs
+    what a warm one does.
+    """
+    params = inspect.signature(build).parameters
+    names = tuple(params)
+    defaults = {n: p.default for n, p in params.items() if p.default is not p.empty}
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            # each keyword names a parameter still open, each of which is given
+            # or has a default; any other call is malformed, and Python says why
+            if not kwargs.keys() <= set(rest) <= kwargs.keys() | defaults.keys():
+                return build(*args, **kwargs)
+            args += tuple(kwargs[n] if n in kwargs else defaults[n] for n in rest)
+        games = [a for a in args if isinstance(a, Game)]
+        key = (build, *(id(a) if isinstance(a, Game) else a for a in args))
+        try:
+            refs, out = _SHARED[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument
+            return build(*args)
+        else:
+            g = out()
+            if g is not None and all(r() is a for r, a in zip(refs, games)):
+                return g
+        g = build(*args)
+        pop = _SHARED.pop  # bound now: the callback may run at interpreter exit
+        drop = lambda _: pop(key, None)  # noqa: E731 - one callback per entry
+        _SHARED[key] = ([weakref.ref(a, drop) for a in games], weakref.ref(g, drop))
+        return g
+
+    return shared
 
 
 def _show(k) -> str:

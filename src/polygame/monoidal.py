@@ -23,12 +23,13 @@ anything is built:
 from __future__ import annotations
 
 from .elements import Element, FiniteSet, fun, pair, star
-from .games import Game, _build_game
+from .games import Game, _build_game, _shared
 from .limits import DEFAULT_MAX_ENUM, EnumBudget
 from .simulation import Simulation, _relabel_sim, _transport_sim, identity_sim
 from .fixtures import unit_game
 
 
+@_shared
 def tensor(p1: Game, p2: Game) -> Game:
     """Pointwise product game."""
     factors = {pair(i1, i2): (i1, i2) for i1 in p1.states for i2 in p2.states}
@@ -151,6 +152,7 @@ def structural_iso(kind: str, *games: Game) -> tuple[Simulation, Simulation]:
 # -- internal hom --------------------------------------------------------------
 
 
+@_shared
 def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """The game of translations of P2 into P3.
 
@@ -262,6 +264,7 @@ def eval_sim(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation
 # -- negation ------------------------------------------------------------------
 
 
+@_shared
 def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """The negation of a game: players swap roles.
 

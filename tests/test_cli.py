@@ -256,6 +256,19 @@ def test_factoring_through_ten_copies_is_refused_at_once(tmp_path):
     assert res.stderr == "all_perms (cumulative): would enumerate 3628800 objects (ceiling 10000)\n"
 
 
+def test_factoring_through_eight_copies_follows_max_enum(tmp_path):
+    # the 8! = 40320 reshuffles are charged to --max-enum, not to the default
+    ident = write(tmp_path, "id8.json", "simulation", identity_sim(tensor_power(UNIT, 8)))
+    refused = invoke("factor-power", ident, "unit", "--copies", "8")
+    assert refused.exit_code == EXIT_REFUSED and refused.stdout == ""
+    assert refused.stderr == "all_perms (cumulative): would enumerate 40320 objects (ceiling 10000)\n"
+    res = invoke("factor-power", ident, "unit", "--copies", "8", "--max-enum", "100000")
+    assert res.exit_code == 0, res.stderr
+    (tmp_path / "f8.json").write_text(res.stdout)
+    checked = invoke("check-sim", str(tmp_path / "f8.json"))
+    assert checked.exit_code == 0 and not failing(json.loads(checked.stdout)["payload"]["checks"])
+
+
 @pytest.mark.parametrize("args, message", [
     (["compose", "{id_coin}", "{id_trap}"], "compose: s.dst and t.src are different games"),
     (["curry", "{id_coin}", "coin", "unit"], "curry: src is not the tensor of the given factors"),

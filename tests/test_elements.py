@@ -124,6 +124,12 @@ def test_sorting_matches_the_key_order(xs):
 x, u, v = atom("x"), atom("u"), atom("v")
 
 
+class Keyed:
+    """Not an element, though it has the ``key`` the global order reads."""
+
+    key = (0, "x")
+
+
 # a bad argument fails as it did before elements were interned: the lookup
 # never turns it into an "unhashable type" error or a spurious hit
 @pytest.mark.parametrize(
@@ -131,6 +137,7 @@ x, u, v = atom("x"), atom("u"), atom("v")
     [
         (lambda: pair([], x), TypeError, "expected an Element, got list"),
         (lambda: pair(x, 3), TypeError, "expected an Element, got int"),
+        (lambda: pair("atom", "x"), TypeError, "expected an Element, got str"),
         (lambda: tup(x, [1]), TypeError, "expected an Element, got list"),
         (lambda: tup("x"), TypeError, "expected an Element, got str"),
         (lambda: mset([x, 3]), AttributeError, "'int' object has no attribute 'key'"),
@@ -143,6 +150,14 @@ x, u, v = atom("x"), atom("u"), atom("v")
         (lambda: atom(""), ValueError, "atom name must be a nonempty string"),
         (lambda: atom(3), ValueError, "atom name must be a nonempty string"),
         (lambda: atom("star"), ValueError, 'atom name "star" is reserved for the unit point'),
+        (lambda: FiniteSet([x, 3]), TypeError, "expected an Element, got int"),
+        (lambda: FiniteSet([[]]), TypeError, "expected an Element, got list"),
+        (lambda: FiniteSet(["x"]), TypeError, "expected an Element, got str"),
+        (lambda: FiniteSet([x, None, x]), TypeError, "expected an Element, got NoneType"),
+        (lambda: FiniteSet([Keyed(), x]), TypeError, "expected an Element, got Keyed"),
+        (lambda: pair(x, u).fst.fst, ValueError, "not a pair: x"),
+        (lambda: tup(x, u).snd, ValueError, "not a pair: [x, u]"),
+        (lambda: star().fst, ValueError, "not a pair: *"),
     ],
 )
 def test_bad_arguments_keep_their_errors(build, exc, message):
@@ -182,6 +197,12 @@ def test_fun_application_and_duplicate_keys():
         f.apply(atom("w"))
     with pytest.raises(ValueError):
         fun([(atom("x"), atom("u")), (atom("x"), atom("v"))])
+
+
+def test_pair_components_are_its_data():
+    for e in element_pool(2):
+        if e.kind == "pair":
+            assert (e.fst, e.snd) == e.data and pair(e.fst, e.snd) is e
 
 
 def test_finite_set_is_ordered_and_deduplicated():

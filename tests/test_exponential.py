@@ -331,6 +331,9 @@ def test_all_perms_charges_k_factorial_before_listing():
     with pytest.raises(SizeRefused) as refused:
         all_perms(8)
     assert str(refused.value) == "all_perms (cumulative): would enumerate 40320 objects (ceiling 10000)"
+    assert len(all_perms(8, 40320)) == 40320
+    with pytest.raises(SizeRefused):
+        all_perms(3, 5)
     # the reshuffle witnesses of a one-letter span of length 9 would need 9! bijections
     one = FiniteSet([atom("a")])
     start = time.perf_counter()
