@@ -61,13 +61,7 @@ def bigoplus(games: Iterable[Game]) -> Game:
 def injection(p1: Game, p2: Game, side: int) -> Simulation:
     """The coprojection of one summand into the sum (side 1 or 2)."""
     tag, p = {1: (_L, p1), 2: (_R, p2)}[side]
-    return _relabel_sim(
-        p,
-        oplus(p1, p2),
-        lambda i: pair(tag, i),
-        lambda i, a: pair(tag, a),
-        lambda i, a, e: e.snd,
-    )
+    return _relabel_sim(p, oplus(p1, p2), lambda x: pair(tag, x), lambda e: e.snd)
 
 
 def projection(p1: Game, p2: Game, side: int) -> Simulation:

@@ -213,11 +213,7 @@ def symmetry_sim(p: Game, k: int, sigma: tuple, max_enum: int = DEFAULT_MAX_ENUM
     g = tensor_power(p, k, max_enum=max_enum)
     inv = perm_inverse(sigma)
     return _relabel_sim(
-        g,
-        g,
-        lambda i: tup(*perm_apply(sigma, i.items)),
-        lambda i, a: tup(*perm_apply(sigma, a.items)),
-        lambda i, a, e: tup(*perm_apply(inv, e.items)),
+        g, g, lambda x: tup(*perm_apply(sigma, x.items)), lambda e: tup(*perm_apply(inv, e.items))
     )
 
 

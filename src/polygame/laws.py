@@ -252,7 +252,8 @@ def _draw_monoidal(rng: random.Random, rounds: int = 6) -> dict:
 
 
 def _invertible(kind: str, *games: Game) -> bool:
-    fwd, bwd = structural_iso(kind, *games)
+    inverse = (kind, *reversed(games)) if kind == "symmetry" else (kind + "_inv", *games)
+    fwd, bwd = structural_iso(kind, *games), structural_iso(*inverse)
     return (
         not check_simulation(fwd)
         and not check_simulation(bwd)
@@ -263,11 +264,11 @@ def _invertible(kind: str, *games: Game) -> bool:
 
 def _pentagon(p1: Game, p2: Game, p3: Game, p4: Game) -> bool:
     """The two routes (P1 P2)(P3 P4) -> P1(P2(P3 P4)) agree."""
-    a_12_3, _ = structural_iso("assoc", p1, p2, p3)
-    a_1_23_4, _ = structural_iso("assoc", p1, tensor(p2, p3), p4)
-    a_12_3_4, _ = structural_iso("assoc", tensor(p1, p2), p3, p4)
-    a_1_2_34, _ = structural_iso("assoc", p1, p2, tensor(p3, p4))
-    a_2_3_4, _ = structural_iso("assoc", p2, p3, p4)
+    a_12_3 = structural_iso("assoc", p1, p2, p3)
+    a_1_23_4 = structural_iso("assoc", p1, tensor(p2, p3), p4)
+    a_12_3_4 = structural_iso("assoc", tensor(p1, p2), p3, p4)
+    a_1_2_34 = structural_iso("assoc", p1, p2, tensor(p3, p4))
+    a_2_3_4 = structural_iso("assoc", p2, p3, p4)
     route1 = compose(a_12_3_4, a_1_2_34)
     route2 = compose(
         compose(tensor_sim(a_12_3, identity_sim(p4)), a_1_23_4),
@@ -278,9 +279,9 @@ def _pentagon(p1: Game, p2: Game, p3: Game, p4: Game) -> bool:
 
 def _triangle(p1: Game, _p2: Game, p3: Game, _p4: Game) -> bool:
     """(P1 x 1) x P3 -> P1 x P3 both ways round."""
-    u_r, _ = structural_iso("unit_r", p1)
-    u_l, _ = structural_iso("unit_l", p3)
-    a_mid, _ = structural_iso("assoc", p1, unit_game(), p3)
+    u_r = structural_iso("unit_r", p1)
+    u_l = structural_iso("unit_l", p3)
+    a_mid = structural_iso("assoc", p1, unit_game(), p3)
     tri1 = compose(a_mid, tensor_sim(identity_sim(p1), u_l))
     tri2 = tensor_sim(u_r, identity_sim(p3))
     return _eq(tri1, tri2)
@@ -288,12 +289,12 @@ def _triangle(p1: Game, _p2: Game, p3: Game, _p4: Game) -> bool:
 
 def _hexagon(p1: Game, p2: Game, p3: Game, _p4: Game) -> bool:
     """A triple product reshuffled two ways agrees."""
-    b_1_23, _ = structural_iso("symmetry", p1, tensor(p2, p3))
-    b_12, _ = structural_iso("symmetry", p1, p2)
-    b_13, _ = structural_iso("symmetry", p1, p3)
-    a_231, _ = structural_iso("assoc", p2, p3, p1)
-    a_123, _ = structural_iso("assoc", p1, p2, p3)
-    a_213, _ = structural_iso("assoc", p2, p1, p3)
+    b_1_23 = structural_iso("symmetry", p1, tensor(p2, p3))
+    b_12 = structural_iso("symmetry", p1, p2)
+    b_13 = structural_iso("symmetry", p1, p3)
+    a_231 = structural_iso("assoc", p2, p3, p1)
+    a_123 = structural_iso("assoc", p1, p2, p3)
+    a_213 = structural_iso("assoc", p2, p1, p3)
     hex1 = compose(compose(a_123, b_1_23), a_231)
     hex2 = compose(
         compose(tensor_sim(b_12, identity_sim(p3)), a_213),
@@ -467,10 +468,10 @@ def _comonoid(p: Game, bound: int) -> bool:
     ident = identity_sim(bp)
     if check_simulation(dup) or check_simulation(dis):
         return False
-    u_l, _ = structural_iso("unit_l", bp)
-    u_r, _ = structural_iso("unit_r", bp)
-    a_fwd, _ = structural_iso("assoc", bp, bp, bp)
-    swap, _ = structural_iso("symmetry", bp, bp)
+    u_l = structural_iso("unit_l", bp)
+    u_r = structural_iso("unit_r", bp)
+    a_fwd = structural_iso("assoc", bp, bp, bp)
+    swap = structural_iso("symmetry", bp, bp)
     return (
         _eq(compose(compose(dup, tensor_sim(dis, ident)), u_l), ident)
         and _eq(compose(compose(dup, tensor_sim(ident, dis)), u_r), ident)

@@ -74,79 +74,48 @@ def tensor_sim(s1: Simulation, s2: Simulation) -> Simulation:
 # -- structural isomorphisms --------------------------------------------------
 
 
-def structural_iso(kind: str, *games: Game) -> tuple[Simulation, Simulation]:
-    """The coherence isomorphisms of the tensor, as a (forward, back) pair.
+def _swap(x: Element) -> Element:
+    return pair(x.snd, x.fst)
+
+
+# kind -> (number of games, its two ends built from them, the map relabelling
+# src's states, moves and counters as dst's, the map relabelling dst's as src's)
+_ISOS = {
+    "assoc": (3, lambda p1, p2, p3: (tensor(tensor(p1, p2), p3), tensor(p1, tensor(p2, p3))),
+              lambda x: pair(x.fst.fst, pair(x.fst.snd, x.snd)),
+              lambda x: pair(pair(x.fst, x.snd.fst), x.snd.snd)),
+    "unit_l": (1, lambda p: (tensor(unit_game(), p), p), lambda x: x.snd,
+               lambda x: pair(star(), x)),
+    "unit_r": (1, lambda p: (tensor(p, unit_game()), p), lambda x: x.fst,
+               lambda x: pair(x, star())),
+    "symmetry": (2, lambda p1, p2: (tensor(p1, p2), tensor(p2, p1)), _swap, _swap),
+}
+
+
+def structural_iso(kind: str, *games: Game) -> Simulation:
+    """One coherence isomorphism of the tensor.
 
     kinds: ``assoc`` (P1,P2,P3): (P1xP2)xP3 -> P1x(P2xP3);
-    ``unit_l`` (P): 1xP -> P;  ``unit_r`` (P): Px1 -> P;
-    ``symmetry`` (P1,P2): P1xP2 -> P2xP1.
+    ``assoc_inv`` (P1,P2,P3): P1x(P2xP3) -> (P1xP2)xP3;
+    ``unit_l`` (P): 1xP -> P;  ``unit_l_inv`` (P): P -> 1xP;
+    ``unit_r`` (P): Px1 -> P;  ``unit_r_inv`` (P): P -> Px1;
+    ``symmetry`` (P1,P2): P1xP2 -> P2xP1, whose inverse is
+    ``symmetry`` (P2,P1).
+
+    Each kind is one entry of element maps; an ``_inv`` kind reads its entry
+    backwards.  Raises ``ValueError`` on an unknown kind or a wrong number of
+    games.
     """
-    if kind == "assoc":
-        p1, p2, p3 = games
-        src = tensor(tensor(p1, p2), p3)
-        dst = tensor(p1, tensor(p2, p3))
-        fwd = _relabel_sim(
-            src,
-            dst,
-            lambda i: pair(i.fst.fst, pair(i.fst.snd, i.snd)),
-            lambda i, a: pair(a.fst.fst, pair(a.fst.snd, a.snd)),
-            lambda i, a, e: pair(pair(e.fst, e.snd.fst), e.snd.snd),
-        )
-        bwd = _relabel_sim(
-            dst,
-            src,
-            lambda i: pair(pair(i.fst, i.snd.fst), i.snd.snd),
-            lambda i, a: pair(pair(a.fst, a.snd.fst), a.snd.snd),
-            lambda i, a, e: pair(e.fst.fst, pair(e.fst.snd, e.snd)),
-        )
-        return fwd, bwd
-    if kind == "unit_l":
-        (p,) = games
-        unit = unit_game()
-        src = tensor(unit, p)
-        fwd = _relabel_sim(
-            src,
-            p,
-            lambda i: i.snd,
-            lambda i, a: a.snd,
-            lambda i, a, e: pair(star(), e),
-        )
-        bwd = _relabel_sim(
-            p,
-            src,
-            lambda i: pair(star(), i),
-            lambda i, a: pair(star(), a),
-            lambda i, a, e: e.snd,
-        )
-        return fwd, bwd
-    if kind == "unit_r":
-        (p,) = games
-        unit = unit_game()
-        src = tensor(p, unit)
-        fwd = _relabel_sim(
-            src,
-            p,
-            lambda i: i.fst,
-            lambda i, a: a.fst,
-            lambda i, a, e: pair(e, star()),
-        )
-        bwd = _relabel_sim(
-            p,
-            src,
-            lambda i: pair(i, star()),
-            lambda i, a: pair(a, star()),
-            lambda i, a, e: e.fst,
-        )
-        return fwd, bwd
-    if kind == "symmetry":
-        p1, p2 = games
-        src = tensor(p1, p2)
-        dst = tensor(p2, p1)
-        swap = lambda x: pair(x.snd, x.fst)  # noqa: E731 - local one-liner
-        fwd = _relabel_sim(src, dst, swap, lambda i, a: swap(a), lambda i, a, e: swap(e))
-        bwd = _relabel_sim(dst, src, swap, lambda i, a: swap(a), lambda i, a, e: swap(e))
-        return fwd, bwd
-    raise ValueError(f"unknown structural iso kind {kind!r}")
+    name = kind.removesuffix("_inv")
+    if name not in _ISOS or kind == "symmetry_inv":
+        raise ValueError(f"unknown structural iso kind {kind!r}")
+    arity, ends, there, back = _ISOS[name]
+    if len(games) != arity:
+        raise ValueError(f"structural iso {kind!r} takes {arity} games, got {len(games)}")
+    src, dst = ends(*games)
+    if name == kind:
+        return _relabel_sim(src, dst, there, back)
+    return _relabel_sim(dst, src, back, there)
 
 
 # -- internal hom --------------------------------------------------------------

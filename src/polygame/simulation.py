@@ -25,7 +25,10 @@ embedding and equality, the leg check of :func:`equivalent`, and the
 reshuffle witnesses of the powers.  :func:`span_compose` is the one pullback,
 and :func:`compose` takes its apex.  ``_relabel_sim`` builds every simulation
 whose apex is its source's states: identities, injections, reshuffles and the
-tensor's coherence isomorphisms.
+tensor's coherence isomorphisms.  It takes two element maps, one relabelling
+the source's states and moves as the target's, one relabelling the target's
+counters as the source's; the inverse relabelling is the same two maps
+swapped.
 
 The transports are written once as well: ``_transport_sim`` walks a span's
 source moves and target counters and asks one callback for alpha, another for
@@ -114,7 +117,7 @@ def check_simulation(s: Simulation) -> list[str]:
 
 def identity_sim(g: Game) -> Simulation:
     """The identity: apex = states, both legs the identity, transports copy."""
-    return _relabel_sim(g, g, lambda i: i, lambda i, a: a, lambda i, a, e: e)
+    return _relabel_sim(g, g, lambda x: x, lambda x: x)
 
 
 def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back) -> Simulation:
@@ -141,15 +144,15 @@ def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back
     return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
 
 
-def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Simulation:
-    """A simulation whose apex is src's states, from bijective relabelling data.
+def _relabel_sim(src: Game, dst: Game, there, back) -> Simulation:
+    """A simulation whose apex is src's states, from a bijective relabelling.
 
-    ``state_map``: state of src -> state of dst; ``move_map``: (i, a) -> dst
-    move; ``counter_back``: (i, a, dst counter) -> src counter.  The caller
-    promises the successor tables commute.
+    ``there`` relabels src's states and moves as dst's, ``back`` relabels
+    dst's counters as src's; the caller promises the successor tables
+    commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
     """
-    def back(i, a, _, e):
-        d = counter_back(i, a, e)
+    def pull(i, a, _, e):
+        d = back(e)
         return d, src.next[(i, a, d)]
 
     return _transport_sim(
@@ -157,9 +160,9 @@ def _relabel_sim(src: Game, dst: Game, state_map, move_map, counter_back) -> Sim
         dst,
         src.states,
         {i: i for i in src.states},
-        {i: state_map(i) for i in src.states},
-        lambda i, a: (move_map(i, a), None),
-        back,
+        {i: there(i) for i in src.states},
+        lambda i, a: (there(a), None),
+        pull,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from polygame.fixtures import COIN, ONEWAY
 from polygame.laws import SUITES, Law, advisory, check, failing, run_suite
+from polygame.simulation import Simulation
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -47,6 +48,22 @@ def test_one_failing_case_fails_the_law_and_only_gating_laws_fail_a_report(monke
     assert failing(report) == [check("coin-only", False)]
 
 
+# one op's work at seed 1000, with every structure map built once, in the one
+# direction its law composes; building both directions exceeds both bounds
+@pytest.mark.parametrize("suite, sims, betas", [("exponential", 104, 15523), ("monoidal", 124, 852)])
+def test_structure_maps_are_built_one_way(monkeypatch, suite, sims, betas):
+    built = []
+    init = Simulation.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.beta))
+
+    monkeypatch.setattr(Simulation, "__init__", counting)
+    run_suite(suite, 1000)
+    assert len(built) <= sims and sum(built) <= betas
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense", 0)
@@ -78,6 +95,14 @@ FROZEN = {
     "curry": "9771f86296eeb120e9aef62d872f789c50cf7fd384e920aa2b59c6ecbe2dbb6a",
     "uncurry": "0f55e42182fcd88bc2af99bf9b8bcaf56133f4140199a15eac74ec6484b17c02",
     "assoc": "09788d4b3905b09060ac2d4bad0d7ec043dc7c3142fea6b36bf1c8bf4345c0c7",
+    # the other coherence maps, pinned while structural_iso still returned a
+    # (forward, back) pair; "assoc" above is that pair's back map, assoc_inv
+    "iso:assoc": "1199f5db13b03315255126cf7a464326d10b48a1c58e9dcd3cda4943922b59df",
+    "iso:unit_l": "b2c6fe865c73dc89a5901c5cad5cdf51eb4f01c82e5d7cdd23aff75feabe1122",
+    "iso:unit_l_inv": "a2e2d8b38652ba5693af348e148606f60b329994eb9a1ef4662e0cf6a2916887",
+    "iso:unit_r": "a00cf2d2c2a1609423d6bc5943ad09452aea60c1d6c54e49324bd8089c3b380f",
+    "iso:unit_r_inv": "190fec670da7c4ecaa8bc0c82275072b3066aaaec54dc3a3965ddc52a93b1f49",
+    "iso:symmetry": "c282b2de651cd5f925529b5e2803894926638b91bd00a3844ed7c9d86a288de3",
     "injection": "65aa4e57088b591b5482782ba496c4ab91c4097c68add5985dbebb4139750c08",
     "projection": "172f1cf8c997f1a1ee70ce4f3829df3be8638777bd00bf67eb61fcbcb7478fbd",
     "copair": "bd1af132aa787172c5b5759587a76b3e7c9c9519e97eab0e22797116faa42178",
@@ -115,6 +140,12 @@ FROZEN_V2 = {
     "curry": "2d89c925f56a3ff4ecc8e267d73d854fdd032a90d345e6f831afff84453c00ea",
     "uncurry": "509f279e177ee570ff822b17c5a3c7fa600868d1c30816705ca37225b6bf490c",
     "assoc": "f040987efa37ea82d2e7a97c4ffe6db3c2321c1ddb1491d50a7202541a9632e6",
+    "iso:assoc": "528932da07712a125df1eebea4d2b09f0ffd48cce2c2ab44fad596f051b5fd72",
+    "iso:unit_l": "fdf6cc957cb9af0de88bfd60625d7cda8a2eb010cde538eadb83adcd65b8ee7c",
+    "iso:unit_l_inv": "3b98f7a6c1bc2ab62690947188f6c78e2f6ddcb542a356e9451c1555557e46c5",
+    "iso:unit_r": "6ec301ab3405e94ec7d89f1eb9ded9c1d96f37ce95abeb994bdc964e4f8e4328",
+    "iso:unit_r_inv": "333ed4f144f661351a9f5e0e75201d4115e0217268ba735892873d9a6d18ceca",
+    "iso:symmetry": "e132497c1293b0d6783c55d5388fc2ff8e066226f98c8c15825a5e976d7db89a",
     "injection": "cdb7a262adee118aa67452385136a2aedeb2732658524e826365518d2cf135db",
     "projection": "80a6061dc69984f07308a76a9c5ae2c529fd9f58c914f7cc82712b76c66b5181",
     "copair": "73701337622ed32303a7e8670ec15a538dd6b9b6ae74ba0e387dcc81272a6f13",
@@ -180,7 +211,13 @@ sims = {
     "tensor_sim": tensor_sim(ms, identity_sim(TRAP)),
     "curry": cur,
     "uncurry": uncurry(cur, COIN, TRAP, COIN),
-    "assoc": structural_iso("assoc", COIN, TRAP, UNIT)[1],
+    "assoc": structural_iso("assoc_inv", COIN, TRAP, UNIT),
+    "iso:assoc": structural_iso("assoc", COIN, TRAP, UNIT),
+    "iso:unit_l": structural_iso("unit_l", TRAP),
+    "iso:unit_l_inv": structural_iso("unit_l_inv", TRAP),
+    "iso:unit_r": structural_iso("unit_r", COIN),
+    "iso:unit_r_inv": structural_iso("unit_r_inv", COIN),
+    "iso:symmetry": structural_iso("symmetry", COIN, TRAP),
     "injection": injection(COIN, TRAP, 1),
     "projection": projection(COIN, TRAP, 2),
     "copair": copair(ms, tc),

@@ -1,15 +1,18 @@
 """Tensor, internal hom, currying, evaluation, duals."""
 
 import itertools
+import random
 
 import pytest
 
 from polygame.elements import FiniteSet, atom
+from polygame.exponential import bang
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.games import carrier_iso, make_game, validate_game
-from polygame.laws import random_simulation
+from polygame.laws import random_game, random_simulation
 from polygame.limits import SizeRefused
-from polygame.monoidal import curry, dual, eval_sim, lollipop, tensor, tensor_sim, uncurry
+from polygame.monoidal import (curry, dual, eval_sim, lollipop, structural_iso, tensor,
+                               tensor_sim, uncurry)
 from polygame.simulation import check_simulation, compose, identity_sim
 from polygame.fixtures import unit_game
 
@@ -199,3 +202,62 @@ def test_function_space_guard_refuses_loudly():
     )
     with pytest.raises(SizeRefused):
         lollipop(g, g)
+
+
+# -- structural isomorphisms ------------------------------------------------------
+# each kind's two ends, written out by hand, and its inverse kind with its games
+
+ISO_ENDS = {
+    "assoc": lambda a, b, c: (tensor(tensor(a, b), c), tensor(a, tensor(b, c))),
+    "assoc_inv": lambda a, b, c: (tensor(a, tensor(b, c)), tensor(tensor(a, b), c)),
+    "unit_l": lambda a: (tensor(UNIT, a), a),
+    "unit_l_inv": lambda a: (a, tensor(UNIT, a)),
+    "unit_r": lambda a: (tensor(a, UNIT), a),
+    "unit_r_inv": lambda a: (a, tensor(a, UNIT)),
+    "symmetry": lambda a, b: (tensor(a, b), tensor(b, a)),
+}
+ISO_ARITY = {kind: ends.__code__.co_argcount for kind, ends in ISO_ENDS.items()}
+
+
+def iso_inverse(kind, games):
+    if kind == "symmetry":
+        return kind, games[::-1]
+    return (kind[:-4] if kind.endswith("_inv") else kind + "_inv"), games
+
+
+def iso_cases(kind, source):
+    n = ISO_ARITY[kind]
+    if source == "random":
+        rng = random.Random(sorted(ISO_ENDS).index(kind))
+        return [tuple(random_game(rng) for _ in range(n)) for _ in range(4)]
+    if source == "repeated":
+        return [(bang(COIN, 2),) * n]
+    return [(UNIT,) * n]
+
+
+@pytest.mark.parametrize("source", ["random", "repeated", "unit"])
+@pytest.mark.parametrize("kind", sorted(ISO_ENDS))
+def test_structural_iso_is_inverse_to_its_inverse_kind(kind, source):
+    for games in iso_cases(kind, source):
+        fwd = structural_iso(kind, *games)
+        assert (fwd.src, fwd.dst) == ISO_ENDS[kind](*games)
+        assert check_simulation(fwd) == []
+        inv_kind, inv_games = iso_inverse(kind, games)
+        bwd = structural_iso(inv_kind, *inv_games)
+        assert (bwd.src, bwd.dst) == (fwd.dst, fwd.src)
+        assert eq(compose(fwd, bwd), identity_sim(fwd.src))
+        assert eq(compose(bwd, fwd), identity_sim(fwd.dst))
+
+
+@pytest.mark.parametrize("kind", ["symmetry_inv", "assoc_inverse", "foo"])
+def test_structural_iso_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError):
+        structural_iso(kind, COIN, TRAP)
+
+
+@pytest.mark.parametrize("kind", sorted(ISO_ENDS))
+def test_structural_iso_rejects_a_wrong_number_of_games(kind):
+    n = ISO_ARITY[kind]
+    for games in ((COIN,) * (n - 1), (COIN,) * (n + 1)):
+        with pytest.raises(ValueError):
+            structural_iso(kind, *games)
