@@ -121,7 +121,7 @@ def random_simulation(
         n = 1 + (1 if rng.random() < dup_chance else 0)
         return [pair(pair(i1, i2), atom(f"w{c}")) for c in range(n)]
 
-    return _relation_simulation(src, dst, copies, lambda it: rng.choice(list(it)), rng.choice)
+    return _relation_simulation(src, dst, copies, rng.choice)
 
 
 def fixture_pool() -> list[Game]:

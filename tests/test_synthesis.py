@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from polygame import synthesis
 from polygame.documents import dump_document, load_document
 from polygame.elements import atom
 from polygame.fixtures import COIN, EMPTY, ONEWAY, TRAP, UNIT, unit_game
@@ -225,7 +226,15 @@ def test_duality_bridge_on_fixtures():
 
 def test_empty_game_synthesis_is_trivial():
     assert names(alfred_region(EMPTY)) == []
-    assert len(max_simulation(EMPTY, COIN).apex) == 0
+    assert names(dominic_region(EMPTY)) == []
+    assert not sim_exists(EMPTY, "alfred")
+    assert not sim_exists(EMPTY, "dominic")
+    # with no states on the right the pair index has width 0, so every
+    # successor position is 0
+    for s in (max_simulation(EMPTY, COIN), max_simulation(COIN, EMPTY),
+              max_simulation(EMPTY, EMPTY), alfred_strategy(EMPTY), dominic_strategy(EMPTY)):
+        assert len(s.apex) == 0
+        assert check_simulation(s) == []
 
 
 def test_chains_lose_almost_everywhere(rng):
@@ -272,12 +281,42 @@ def _invalid_games():
 @pytest.mark.parametrize("g, why", _invalid_games(), ids=["stray_successor", "no_counter_fiber"])
 @pytest.mark.parametrize(
     "call",
-    [alfred_region, dominic_region, lambda g: max_simulation(g, COIN),
-     lambda g: max_simulation(COIN, g)],
-    ids=["alfred_region", "dominic_region", "max_simulation_src", "max_simulation_dst"],
+    [alfred_region, dominic_region, alfred_strategy, dominic_strategy,
+     lambda g: sim_exists(g, "alfred"), lambda g: sim_exists(g, "dominic"),
+     lambda g: max_simulation(g, COIN), lambda g: max_simulation(COIN, g)],
+    ids=["alfred_region", "dominic_region", "alfred_strategy", "dominic_strategy",
+         "sim_exists_alfred", "sim_exists_dominic", "max_simulation_src", "max_simulation_dst"],
 )
 def test_synthesis_refuses_invalid_games(g, why, call):
     with pytest.raises(ValueError) as info:
         call(g)
     assert str(info.value) == "invalid game: " + "; ".join(validate_game(g))
     assert why in str(info.value)
+
+
+def test_sim_exists_refuses_unknown_side():
+    with pytest.raises(ValueError) as info:
+        sim_exists(COIN, "nobody")
+    assert str(info.value) == "unknown side 'nobody'"
+
+
+# A region costs one check per state plus one per removed successor, so the
+# checks never outnumber the states and successor rows together.
+def test_region_checks_are_linear(rng, monkeypatch):
+    calls = []
+    fixpoint = synthesis._greatest_fixpoint
+
+    def counted(items, holds, dependents):
+        def check(k, s):
+            calls.append(k)
+            return holds(k, s)
+        return fixpoint(items, check, dependents)
+
+    monkeypatch.setattr(synthesis, "_greatest_fixpoint", counted)
+    pool = [chain(rng, 60, side) for side in ("alfred", "dominic")]
+    pool += [random_game(rng, 6, 3, 3) for _ in range(20)]
+    for g in pool:
+        for region in (alfred_region, dominic_region):
+            calls.clear()
+            region(g)
+            assert len(calls) <= len(g.states) + len(g.next), region.__name__
