@@ -40,8 +40,9 @@ def oplus(p1: Game, p2: Game) -> Game:
     def row(ti):
         tag, p, i = summands[ti]
         for a in p.moves[i]:
-            yield pair(tag, a), [
-                (pair(tag, d), pair(tag, p.next[(i, a, d)])) for d in p.counters[(i, a)]
+            ds = p.counters[(i, a)].items
+            yield pair(tag, a), tuple([pair(tag, d) for d in ds]), [
+                pair(tag, p.next[(i, a, d)]) for d in ds
             ]
 
     return _build_game(summands, row)

@@ -22,8 +22,8 @@ distinct term therefore exists exactly once, equality is identity, and
 hashing is the interpreter's identity hash: O(1), with no Python-level call.
 ``key`` is kept for the global order only.  The tables hold their elements
 strongly for the life of the process; that is safe because real traffic
-reuses a small vocabulary -- over twelve seeds of the exponential law suite,
-1.9 million constructions yield about 5,000 distinct elements -- and sharing
+reuses a small vocabulary -- over seeds 1000-1011 of the exponential law
+suite, 309,000 constructions yield 5,053 distinct elements -- and sharing
 them makes peak memory fall, not rise.
 
 The atom name "star" is reserved (the wire format prints the unit point as

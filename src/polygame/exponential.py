@@ -187,9 +187,9 @@ def _lockstep(p: Game, budget: EnumBudget, arrangements, spell, land):
     def row(i):
         for arr in arrangements(i):
             for choice in budget.pi(p.moves[u] for u in arr):
-                yield spell(arr, choice), [
-                    (tup(*ds), land(p.next[(u, a, d)] for u, a, d in zip(arr, choice, ds)))
-                    for ds in budget.pi(p.counters[(u, a)] for u, a in zip(arr, choice))
+                dss = list(budget.pi(p.counters[(u, a)] for u, a in zip(arr, choice)))
+                yield spell(arr, choice), tuple([tup(*ds) for ds in dss]), [
+                    land(p.next[(u, a, d)] for u, a, d in zip(arr, choice, ds)) for ds in dss
                 ]
 
     return row

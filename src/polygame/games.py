@@ -15,9 +15,9 @@ game is built.
 
 A game is read only through its tables: ``g.moves[i]``, ``g.counters[(i, a)]``
 and ``g.next[(i, a, d)]``.  Every builder writes them through one constructor,
-``_build_game``, which asks a row function for each state's moves, counters
-and successors; only it, :func:`make_game` (loose tables from fixtures and
-tests) and the document decoder key the counter and successor tables.
+``_build_game``: a row is a move, its counter tuple and their successors, and
+moves with equal counter tuples share one fiber.  Only it, :func:`make_game`
+(loose tables) and the document decoder key the counter and successor tables.
 
 The pure builders (``tensor``, ``oplus``, ``lollipop``, ``dual``,
 ``tensor_power``, ``power_game`` and ``bang``) share their results: while a
@@ -70,23 +70,21 @@ def _build_game(states, row) -> Game:
     """The game over ``states`` whose rows ``row`` writes.
 
     ``states`` is any iterable of states, read once, in order.  For each state
-    i, ``row(i)`` yields ``(a, [(d, successor), ...])``: one entry per move at
-    i, with that move's counters and where each lands.  States and rows are
+    i, ``row(i)`` yields ``(a, counters, successors)`` per move a: its counter
+    tuple and, in that order, where each lands.  Moves yielding one counter
+    tuple share one fiber (a FiniteSet is immutable).  States and rows are
     pulled in turn, so a builder's enumeration charges keep their order.  This
-    is the one builder that keys counters by (i, a) and successors by
-    (i, a, d).
+    is the one builder that keys counters by (i, a) and successors by (i, a, d).
     """
-    seen = []
-    moves = {}
-    counters = {}
-    nxt = {}
+    seen, moves, counters, nxt, fibers = [], {}, {}, {}, {}  # fibers: counter tuple -> fiber
     for i in states:
         seen.append(i)
         ms = []
-        for a, landings in row(i):
+        for a, ds, js in row(i):
             ms.append(a)
-            counters[(i, a)] = FiniteSet([d for d, _ in landings])
-            for d, j in landings:
+            fiber = fibers.get(ds)
+            counters[(i, a)] = fiber if fiber is not None else fibers.setdefault(ds, FiniteSet(ds))
+            for d, j in zip(ds, js):
                 nxt[(i, a, d)] = j
         moves[i] = FiniteSet(ms)
     return Game(FiniteSet(seen), moves, counters, nxt)
@@ -289,7 +287,8 @@ def from_symmetric_game(move_edges: StateSpan, counter_edges: StateSpan) -> Game
     def row(i):
         for a in move_edges.moves[i]:
             mid = move_edges.next[(i, a)]
-            yield a, [(d, counter_edges.next[(mid, d)]) for d in counter_edges.moves[mid]]
+            ds = counter_edges.moves[mid].items
+            yield a, ds, [counter_edges.next[(mid, d)] for d in ds]
 
     return _build_game(move_edges.states, row)
 

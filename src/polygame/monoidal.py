@@ -31,19 +31,25 @@ from .fixtures import unit_game
 
 @_shared
 def tensor(p1: Game, p2: Game) -> Game:
-    """Pointwise product game."""
+    """Pointwise product game, from each factor's rows (move, counters,
+    successors) read once, forming each product of two tuples once."""
+    rows1, rows2 = ({i: [(a, ds, tuple([p.next[i, a, d] for d in ds])) for a in p.moves[i]
+                         for ds in (p.counters[i, a].items,)] for i in p.states}
+                    for p in (p1, p2))
     factors = {pair(i1, i2): (i1, i2) for i1 in p1.states for i2 in p2.states}
+    products = {}
+
+    def times(xs, ys):  # the product of two tuples, formed once per pair
+        out = products.get((xs, ys))
+        if out is None:
+            out = products[xs, ys] = tuple([pair(x, y) for x in xs for y in ys])
+        return out
 
     def row(i):
         i1, i2 = factors[i]
-        for a1 in p1.moves[i1]:
-            for a2 in p2.moves[i2]:
-                landings = []
-                for d1 in p1.counters[(i1, a1)]:
-                    j1 = p1.next[(i1, a1, d1)]
-                    for d2 in p2.counters[(i2, a2)]:
-                        landings.append((pair(d1, d2), pair(j1, p2.next[(i2, a2, d2)])))
-                yield pair(a1, a2), landings
+        for a1, ds1, js1 in rows1[i1]:
+            for a2, ds2, js2 in rows2[i2]:
+                yield pair(a1, a2), times(ds1, ds2), times(js1, js2)
 
     return _build_game(factors, row)
 
@@ -145,13 +151,13 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
             for a2 in a2s
         ]
         for section in budget.pi(pools):
-            landings = [
-                (pair(a2, d3), pair(p2.next[(i2, a2, phi.apply(d3))], p3.next[(i3, a3, d3)]))
-                for a2, (a3, phi) in zip(a2s, section)
-                for d3 in p3.counters[(i3, a3)]
-            ]
+            ds, js = [], []
+            for a2, (a3, phi) in zip(a2s, section):
+                for d3 in p3.counters[(i3, a3)]:
+                    ds.append(pair(a2, d3))
+                    js.append(pair(p2.next[(i2, a2, phi.apply(d3))], p3.next[(i3, a3, d3)]))
             f = fun(zip(a2s, (a3 for a3, _ in section)))
-            yield pair(f, fun(zip(a2s, (phi for _, phi in section)))), landings
+            yield pair(f, fun(zip(a2s, (phi for _, phi in section)))), tuple(ds), js
 
     return _build_game(factors, row)
 
@@ -249,7 +255,6 @@ def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     def row(i):
         a_s = p.moves[i].items
         for choice in budget.pi(p.counters[(i, a)] for a in a_s):
-            landings = [(a, p.next[(i, a, d)]) for a, d in zip(a_s, choice)]
-            yield fun(zip(a_s, choice)), landings
+            yield fun(zip(a_s, choice)), a_s, [p.next[(i, a, d)] for a, d in zip(a_s, choice)]
 
     return _build_game(p.states, row)

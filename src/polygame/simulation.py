@@ -149,11 +149,13 @@ def _relabel_sim(src: Game, dst: Game, there, back) -> Simulation:
     """A simulation whose apex is src's states, from a bijective relabelling.
 
     ``there`` relabels src's states and moves as dst's, ``back`` relabels
-    dst's counters as src's; the caller promises the successor tables
-    commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
+    dst's counters as src's, each distinct one once; the caller promises the
+    successor tables commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
     """
+    pulled = {}
+
     def pull(i, a, _, e):
-        d = back(e)
+        d = pulled[e] if e in pulled else pulled.setdefault(e, back(e))
         return d, src.next[(i, a, d)]
 
     return _transport_sim(

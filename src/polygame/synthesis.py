@@ -93,10 +93,10 @@ def _greatest_fixpoint(items, holds, dependents) -> set:
     return alive
 
 
-def _answers(fiber2, succ1, inside) -> list:
+def _answers(fiber2, succ1, inside, every) -> list:
     """The moves of ``fiber2``, in order, each of whose counters pulls back:
     its position j2 plus some j1 in ``succ1`` (p1-successors times |p2|) is
-    a pair inside."""
+    a pair inside.  Unless ``every``, the list stops at the first."""
     out = []
     for m in fiber2:
         for j2 in m[2]:
@@ -106,6 +106,8 @@ def _answers(fiber2, succ1, inside) -> list:
             else:
                 break
         else:
+            if not every:
+                return [m]
             out.append(m)
     return out
 
@@ -121,7 +123,7 @@ def _relation(p1: Game, p2: Game):
     def holds(k, s):
         fiber2 = rows2[k % w]
         for m1 in rows1[k // w]:
-            if not _answers(fiber2, m1[2], s):
+            if not _answers(fiber2, m1[2], s, False):
                 return False
         return True
 
@@ -154,12 +156,14 @@ def sim_exists(p: Game, side: str) -> bool:
     return len(region(p).states) > 0
 
 
-def _relation_simulation(p1: Game, p2: Game, copies, pick) -> Simulation:
+def _relation_simulation(p1: Game, p2: Game, copies, pick=None) -> Simulation:
     """A simulation p1 -> p2 over the largest relation.  ``copies(i1, i2)``
-    gives the apex points over each pair, all pairs first and in canonical
-    order; then, point by point and move by move, ``pick`` chooses from a
-    list in canonical order the answering move, and per counter of it the
-    pulled-back counter and the point over the pair landed on."""
+    gives the apex points over each pair, all pairs first, in canonical order;
+    then, per point and move, ``pick`` (by default the first, where each list
+    stops) chooses from a list in canonical order the answering move, and per
+    counter of it the pulled-back counter and the point over the pair landed on."""
+    every = pick is not None
+    pick = pick or itemgetter(0)
     states1, rows1, states2, rows2, rel = _relation(p1, p2)
     w = len(states2)
     over = {k: copies(states1[k // w], states2[k % w]) for k in sorted(rel)}
@@ -170,7 +174,7 @@ def _relation_simulation(p1: Game, p2: Game, copies, pick) -> Simulation:
         for r in points:
             leg1[r], leg2[r] = states1[n1], states2[n2]
             for a1, ds1, js1 in fiber1:
-                a2, ds2, js2 = pick(_answers(fiber2, js1, rel))
+                a2, ds2, js2 = pick(_answers(fiber2, js1, rel, every))
                 alpha[(r, a1)] = a2
                 pulls = list(zip(ds1, js1))
                 for d2, j2 in zip(ds2, js2):
@@ -178,6 +182,8 @@ def _relation_simulation(p1: Game, p2: Game, copies, pick) -> Simulation:
                     for dj in pulls:
                         if dj[1] + j2 in rel:
                             back.append(dj)
+                            if not every:
+                                break
                     key = (r, a1, d2)
                     beta[key], j1 = pick(back)
                     gamma[key] = pick(over[j1 + j2])
@@ -185,19 +191,16 @@ def _relation_simulation(p1: Game, p2: Game, copies, pick) -> Simulation:
     return Simulation(p1, p2, apex, leg1, leg2, alpha, beta, gamma)
 
 
-_first = itemgetter(0)
-
-
 def alfred_strategy(p: Game) -> Simulation:
     """A simulation unit -> p surviving forever on the Alfred region, whose
     states are its apex (empty region = the zero simulation)."""
-    return _relation_simulation(unit_game(), p, lambda _, i: (i,), _first)
+    return _relation_simulation(unit_game(), p, lambda _, i: (i,))
 
 
 def dominic_strategy(p: Game) -> Simulation:
     """A simulation p -> unit surviving forever on the Dominic region, whose
     states are its apex."""
-    return _relation_simulation(p, unit_game(), lambda i, _: (i,), _first)
+    return _relation_simulation(p, unit_game(), lambda i, _: (i,))
 
 
 def max_simulation(p1: Game, p2: Game) -> Simulation:
@@ -206,4 +209,4 @@ def max_simulation(p1: Game, p2: Game) -> Simulation:
     Witnesses are first-in-canonical-order; the apex is the relation itself
     (one point per surviving pair).
     """
-    return _relation_simulation(p1, p2, lambda i1, i2: (pair(i1, i2),), _first)
+    return _relation_simulation(p1, p2, lambda i1, i2: (pair(i1, i2),))

@@ -4,7 +4,9 @@ The helpers here are deliberately *independent* of the library internals:
 ``valid_by_definition`` re-states the simulation condition as four raw
 quantifier loops so the checker has something to be measured against, and
 ``eq`` wraps the equivalence search with a bound wide enough for every
-composite built in the tests.  ``dump_v1`` is the encoder of the retired
+composite built in the tests, and ``tensor_by_loops`` writes the tensor's
+tables as plain nested loops, the reference ``monoidal.tensor`` is graded
+against.  ``dump_v1`` is the encoder of the retired
 ``format_version: 1``, kept as the reference the frozen digests were taken
 with.  ``run_cli`` runs one ``polygame`` command line in process.  The
 ``*_total`` functions count, in plain arithmetic, what each builder charges
@@ -12,6 +14,7 @@ its enumeration budget.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -25,6 +28,7 @@ import pytest
 from polygame.cli import main
 from polygame.elements import atom, fun, mset, pair, star, tup
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
+from polygame.games import make_game
 from polygame.simulation import Simulation, equivalent
 
 FIXTURE_GAMES = [UNIT, COIN, TRAP, ONEWAY]  # EMPTY kept separate: no states
@@ -35,6 +39,28 @@ def eq(s: Simulation, t: Simulation, mode: str = "full") -> bool:
     """Morphism equality: two-sided span iso respecting the transports."""
     bound = max(16, len(s.apex), len(t.apex))
     return equivalent(s, t, mode, search_bound=bound) is not None
+
+
+def tensor_by_loops(p1, p2):
+    """The tensor of two games, one pair at a time: no row builder, no shared
+    fibers and no product cache, just the definition."""
+    states, moves, counters, nxt = [], {}, {}, {}
+    for i1 in p1.states:
+        for i2 in p2.states:
+            i = pair(i1, i2)
+            states.append(i)
+            moves[i] = []
+            for a1 in p1.moves[i1]:
+                for a2 in p2.moves[i2]:
+                    a = pair(a1, a2)
+                    moves[i].append(a)
+                    counters[(i, a)] = []
+                    for d1 in p1.counters[(i1, a1)]:
+                        for d2 in p2.counters[(i2, a2)]:
+                            d = pair(d1, d2)
+                            counters[(i, a)].append(d)
+                            nxt[(i, a, d)] = pair(p1.next[(i1, a1, d1)], p2.next[(i2, a2, d2)])
+    return make_game(states, moves, counters, nxt)
 
 
 # -- enumeration totals -------------------------------------------------------------
@@ -226,6 +252,9 @@ def rng():
 # document and re-encoded here must still reproduce them.
 
 
+# Elements are interned and immutable, so each one's encoding and key text is
+# computed once per process; the large coherence-map digests need this.
+@functools.cache
 def encode_element_v1(e):
     k = e.kind
     if k == "atom":
@@ -239,6 +268,7 @@ def encode_element_v1(e):
     return {"fun": [[encode_element_v1(a), encode_element_v1(b)] for a, b in e.data]}
 
 
+@functools.cache
 def _key_v1(*es):
     e = es[0] if len(es) == 1 else pair(*es) if len(es) == 2 else tup(*es)
     return json.dumps(encode_element_v1(e), sort_keys=True, separators=(",", ":"))

@@ -158,6 +158,23 @@ def test_from_symmetric_game_missing_moves_give_empty_fiber():
     assert len(g.moves[q]) == 1
 
 
+def test_rows_with_unsorted_or_duplicate_counters_get_canonical_fibers():
+    p, q, a, b, c, d, e = map(atom, "pqabcde")
+    rows = {
+        p: [(a, (e, d), (q, p)), (b, (d, e), (p, q)), (c, (d, d), (q, q))],
+        q: [(a, (d, e), (p, q))],
+    }
+    g = games._build_game([q, p], rows.__getitem__)
+    assert validate_game(g) == []
+    assert g.states.items == (p, q)
+    assert g.counters[(p, a)].items == (d, e) == g.counters[(p, b)].items
+    assert g.counters[(p, c)].items == (d,)
+    assert g.next[(p, a, d)] == p and g.next[(p, a, e)] == q
+    # moves yielding one counter tuple share its fiber; other tuples do not
+    assert g.counters[(p, b)] is g.counters[(q, a)]
+    assert g.counters[(p, a)] is not g.counters[(p, b)]
+
+
 def test_empty_game_has_no_states():
     assert len(EMPTY.states) == 0
     assert validate_game(EMPTY) == []

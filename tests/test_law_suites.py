@@ -121,6 +121,11 @@ FROZEN = {
     "tensor_power": "ece2dd25de94c0ba611ca3bf3159d9a988ad7af93bf4ed7fcf3f2dac4de03890",
     "power_game": "d4b358093eecbc868a54b40793c9fb3224f58fce012f3ca11f8ae7514047101c",
     "from_symmetric_game": "bdce2fd8298b86bea2e9468a9d22c8884a2bc2438a67318bd0d2cfcbb32d8530",
+    # the triple tensors of bang(COIN, 2) and their associator, pinned while
+    # every row still built its own counter fiber
+    "tensor:bp(bpbp)": "7bf2c3d474f053c6bfe8a69ad42c701f7e31a387ba073bd712a0a4f4f7e03ff4",
+    "tensor:(bpbp)bp": "95d5a304abf23aa441dc836a2ad22fdce928a619e44ad0334cbc3ff5ae8fb39f",
+    "iso:assoc:bp": "51ee7cd2f1ebaed5eb3b7fe1fce07604692741e37aeaa2c49eb410def9626bc8",
 }
 
 # the same values' documents in format_version 2 (one shared element table),
@@ -163,6 +168,9 @@ FROZEN_V2 = {
     "tensor_power": "91238617a277a36bf0b0697a9b8371e773036c7808a7277de223b728d181dd89",
     "power_game": "6355d407441f63b085cccebe3298613df9d8a859673c84c853c97f9c85407559",
     "from_symmetric_game": "2bca84612d3002b2ee75d3f0bab74d4bf72c126ee65154f5feafeca07e0f0747",
+    "tensor:bp(bpbp)": "826b8a0b714d249b3c218044aaf71a30525381cb6c783f68f39d5b4d6734a154",
+    "tensor:(bpbp)bp": "a7edcf401ed1412a37f053ef57998ef2284bf734cf213cecea46a0e1501d7416",
+    "iso:assoc:bp": "eab0b3b7ca5e611b819fca8c669773689c4947254a3e71b00146652a842780a5",
 }
 
 DIGESTS = """
@@ -250,6 +258,13 @@ games = {
 }
 for name, g in games.items():
     digests(name, "game", [g])
+
+# the triple tensors of bp = bang(COIN, 2), 9,261 successors each, and the
+# coherence map between them
+bp = bang(COIN, 2)
+digests("tensor:bp(bpbp)", "game", [tensor(bp, tensor(bp, bp))])
+digests("tensor:(bpbp)bp", "game", [tensor(tensor(bp, bp), bp)])
+digests("iso:assoc:bp", "simulation", [structural_iso("assoc", bp, bp, bp)])
 """
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polygame.elements import FiniteSet, atom
+from polygame.elements import FiniteSet, atom, pair
 from polygame.exponential import bang
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.games import carrier_iso, make_game, validate_game
@@ -13,10 +13,10 @@ from polygame.laws import random_game, random_simulation
 from polygame.limits import SizeRefused
 from polygame.monoidal import (curry, dual, eval_sim, lollipop, structural_iso, tensor,
                                tensor_sim, uncurry)
-from polygame.simulation import check_simulation, compose, identity_sim
+from polygame.simulation import _relabel_sim, check_simulation, compose, identity_sim
 from polygame.fixtures import unit_game
 
-from conftest import FIXTURE_GAMES, eq
+from conftest import FIXTURE_GAMES, eq, tensor_by_loops
 
 
 def state(g, name):
@@ -39,6 +39,42 @@ def test_tensor_carrier_is_pointwise_product():
                 nxt = g.next[(st, mv, c)]
                 assert nxt.fst == COIN.next[(i1, a1, c.fst)]
                 assert nxt.snd == TRAP.next[(i2, a2, c.snd)]
+
+
+BP = bang(COIN, 2)
+
+
+def _tensor_cases():
+    rng = random.Random(20)
+    pairs = [(random_game(rng, 4, 3, 3), random_game(rng, 4, 3, 3)) for _ in range(30)]
+    pairs += [(EMPTY, COIN), (COIN, EMPTY), (UNIT, UNIT), (UNIT, TRAP), (TRAP, ONEWAY)]
+    return pairs + [(BP, tensor(BP, BP)), (tensor(BP, BP), BP)]
+
+
+@pytest.mark.parametrize("p1, p2", _tensor_cases())
+def test_tensor_matches_the_tensor_written_as_nested_loops(p1, p2):
+    assert tensor(p1, p2) == tensor_by_loops(p1, p2)
+
+
+def test_triple_tensor_holds_one_fiber_object_per_distinct_counter_tuple():
+    for g in (tensor(tensor(BP, BP), BP), tensor(BP, tensor(BP, BP))):
+        fibers = list(g.counters.values())
+        assert len(fibers) == 343 and len(g.next) == 9261
+        assert len({id(f) for f in fibers}) == len(set(fibers)) == 27
+
+
+def test_a_relabelling_pulls_each_distinct_counter_back_once():
+    src, dst = tensor(tensor(BP, BP), BP), tensor(BP, tensor(BP, BP))
+    pulled = []
+
+    def back(x):
+        pulled.append(x)
+        return pair(pair(x.fst, x.snd.fst), x.snd.snd)
+
+    s = _relabel_sim(src, dst, lambda x: pair(x.fst.fst, pair(x.fst.snd, x.snd)), back)
+    assert len(s.beta) == 9261
+    assert len(pulled) == len(set(pulled)) == len({e for (_, _, e) in s.beta})
+    assert s == structural_iso("assoc", BP, BP, BP)
 
 
 def test_tensor_unit_is_neutral_on_carrier_counts():
