@@ -87,6 +87,9 @@ FROZEN = {
     "synthesis": "c234a766422beba74de02cceb64523d4f9b40b06b30def86e130cf95511f7262",
     "bang": "1a30130ab0fe3d9f1ca538cb332bfd73fe6274d15b9e1d1d4877e6c9d5abb1a0",
     "comul_sim": "7491e3d0d0dbcad5fae1b6142facf591a57bb240a6790c66cb8b6e86c526fd56",
+    # the discard map, and a duplication whose copies can reach a dead end
+    "counit_sim": "0a093bdb078d89ed5c15b4ddc0acbb31d5e14e710c1853cbb4b619165d98c879",
+    "comul_sim:trap": "ba6526d8d31996e0d03cb91d388521445e5c2a3f149891831a1698af8e976ac8",
     # the builders' documents as written by a hand-rolled transport loop in each
     "identity_sim": "5f56e0e9c1bf6272f59c633df35c851ef02a8248b9b917f9052d00a755bc7f40",
     "compose": "90094b8c78bb81b4066add5efff0beb7b484f18ab9da959ea83f1e57d243a222",
@@ -138,6 +141,8 @@ FROZEN_V2 = {
     "synthesis": "f874f102fdc4c3b3c10f34dd96e3751c02edcbeb4e36bd0d00e0d825213dac83",
     "bang": "a58fd8f073a9eb60280c3ff53b00496e7bdfb382d65c407c7257a37d539dd11c",
     "comul_sim": "7dd4ad9aba8df92c90dba1e526881281bf962bdf022ff1a496d916637ac8727a",
+    "counit_sim": "f19a7104641a07c0de4c7475ef27288eb83cdbe8bb9fdab12af13149b7afd41e",
+    "comul_sim:trap": "7ce504e118be45db034434aaaccc49702d6368dffbf96c50c014801c79d5694e",
     "identity_sim": "9da23d4837112c22c703a69885dc7d77485e7f94aa1677ddaaae81ae1c70371d",
     "compose": "8942199e419c105bdc374d2ed85c7bf0803ee374557d8756e6a9f4551817bba0",
     "add": "0ff3612c0bbad27375fd12c6598fc454da28295a728d7bfc19aba0f8f8d780b4",
@@ -180,8 +185,8 @@ from conftest import dump_v1
 from polygame.additive import adjoint_transpose, copair, injection, oplus, projection
 from polygame.documents import dump_document, load_document
 from polygame.elements import FiniteSet, atom
-from polygame.exponential import (bang, bang_sim, chat, comul_sim, dereliction_sim,
-                                  deriving_sim, digging_sim, factor_through_power,
+from polygame.exponential import (bang, bang_sim, chat, comul_sim, counit_sim,
+                                  dereliction_sim, deriving_sim, digging_sim, factor_through_power,
                                   power_game, tensor_power)
 from polygame.fixtures import COIN, TRAP, UNIT
 from polygame.games import StateSpan, from_symmetric_game
@@ -206,6 +211,8 @@ for suite in sorted(SUITES):
                               for seed in (0, 11)])
 digests("bang", "game", [bang(COIN, 3)])
 digests("comul_sim", "simulation", [comul_sim(COIN, 3)])
+digests("counit_sim", "simulation", [counit_sim(COIN, 2)])
+digests("comul_sim:trap", "simulation", [comul_sim(TRAP, 2)])
 
 # one small instance of every simulation builder that writes transports
 ms = max_simulation(COIN, COIN)
