@@ -490,22 +490,44 @@ def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     return _build_game(_power_states(p, range(bound + 1), budget), _power_row(p, budget))
 
 
+def _deal_sim(p: Game, src: Game, dst: Game, apex: FiniteSet, leg2, deal, spell, answers,
+              land) -> Simulation:
+    """A structure map of the replay game ``src`` of p that deals out copies.
+
+    An apex point r lies over the pool ``r.fst`` and over ``leg2[r]``.  At a
+    move word a, ``deal(r, a)`` lists the target's groups, each a list of
+    slots of a, and the target move is ``spell(r, letters)``, from the
+    letters of a group by group.  A counter e to it gives each group's
+    counters in ``answers(e)``; they go back to the slots they came from,
+    every copy steps along p, and play lands on ``land(r, nexts, of)``, from
+    each slot's successor and the index of its group.
+    """
+    def move(r, a):
+        groups = deal(r, a)
+        of: list = [None] * len(a.items)
+        for g, grp in enumerate(groups):
+            for j in grp:
+                of[j] = g
+        return spell(r, [[a.items[j] for j in grp] for grp in groups]), (groups, of)
+
+    def back(r, a, ctx, e):
+        groups, of = ctx
+        full: list = [None] * len(a.items)
+        for grp, sub in zip(groups, answers(e)):
+            for j, d in zip(grp, sub):
+                full[j] = d
+        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
+        return tup(*full), land(r, nexts, of)
+
+    return _transport_sim(src, dst, apex, {r: r.fst for r in apex}, leg2, move, back)
+
+
 def counit_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
     """Discard all copies: replay game -> unit, anchored at the empty position."""
-    src = bang(p, bound, max_enum=max_enum)
-    dst = unit_game()
     r0 = pair(mset([]), star())
-    empty_word = tup()
-    return Simulation(
-        src,
-        dst,
-        FiniteSet([r0]),
-        {r0: mset([])},
-        {r0: star()},
-        {(r0, empty_word): star()},
-        {(r0, empty_word, star()): empty_word},
-        {(r0, empty_word, star()): r0},
-    )
+    return _deal_sim(p, bang(p, bound, max_enum=max_enum), unit_game(), FiniteSet([r0]),
+                     {r0: star()}, lambda r, a: [], lambda r, letters: star(), lambda e: [],
+                     lambda r, nexts, of: r)
 
 
 def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -525,45 +547,30 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     were tagged.
     """
     src = bang(p, bound, max_enum=max_enum)
-    tag1, tag2 = atom("1"), atom("2")
+    tags = (atom("1"), atom("2"))
     budget = EnumBudget("comul_sim apex", max_enum)
     apex = FiniteSet(
-        pair(m, tup(*tags)) for m in src.states for tags in budget.pi([(tag1, tag2)] * len(m.items))
+        pair(m, tup(*ts)) for m in src.states for ts in budget.pi([tags] * len(m.items))
     )
 
     def pools(r):
         dealt = tuple(zip(section(r.fst).items, r.snd.items))
-        return pair(mset(x for x, t in dealt if t is tag1), mset(x for x, t in dealt if t is tag2))
+        return pair(*(mset(x for x, t in dealt if t is tag) for tag in tags))
 
-    def move(r, a):
-        match = canonical_match(_word_states(a), section(r.fst).items)
-        pos_tag = [r.snd.items[t] for t in match]
-        pos1 = [j for j, v in enumerate(pos_tag) if v is tag1]
-        pos2 = [j for j, v in enumerate(pos_tag) if v is tag2]
-        b = pair(tup(*(a.items[j] for j in pos1)), tup(*(a.items[j] for j in pos2)))
-        return b, (pos1 + pos2, pos_tag)
+    def deal(r, a):
+        pos_tag = [r.snd.items[t] for t in canonical_match(_word_states(a), section(r.fst).items)]
+        return [[j for j, v in enumerate(pos_tag) if v is tag] for tag in tags]
 
-    def back(r, a, ctx, e):
-        slots, pos_tag = ctx
-        full: list = [None] * len(a.items)
-        for j, d in zip(slots, e.fst.items + e.snd.items):
-            full[j] = d
-        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
+    def land(r, nexts, of):
         n_full = mset(nexts)
         n_tags: list = [None] * len(nexts)
         for j, t in enumerate(canonical_match(tuple(nexts), section(n_full).items)):
-            n_tags[t] = pos_tag[j]
-        return tup(*full), pair(n_full, tup(*n_tags))
+            n_tags[t] = tags[of[j]]
+        return pair(n_full, tup(*n_tags))
 
-    return _transport_sim(
-        src,
-        tensor(src, src),
-        apex,
-        {r: r.fst for r in apex},
-        {r: pools(r) for r in apex},
-        move,
-        back,
-    )
+    return _deal_sim(p, src, tensor(src, src), apex, {r: pools(r) for r in apex}, deal,
+                     lambda r, letters: pair(*(tup(*ls) for ls in letters)),
+                     lambda e: (e.fst.items, e.snd.items), land)
 
 
 def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -572,18 +579,9 @@ def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Si
         raise ValueError("dereliction needs at least one copy")
     src = bang(p, bound, max_enum=max_enum)
     apex = FiniteSet(pair(mset([i]), i) for i in p.states)
-
-    def move(r, a):
-        raw = a.items[0].snd
-        return raw, raw
-
-    def back(r, a, raw, d):
-        i2 = p.next[(r.snd, raw, d)]
-        return tup(d), pair(mset([i2]), i2)
-
-    return _transport_sim(
-        src, p, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
-    )
+    return _deal_sim(p, src, p, apex, {r: r.snd for r in apex}, lambda r, a: [[0]],
+                     lambda r, letters: letters[0][0].snd, lambda d: [(d,)],
+                     lambda r, nexts, of: pair(mset(nexts), nexts[0]))
 
 
 def _flatten(m_of_msets: Element) -> Element:
@@ -591,26 +589,6 @@ def _flatten(m_of_msets: Element) -> Element:
     for part in m_of_msets.items:
         out.extend(part.items)
     return mset(out)
-
-
-def _split_into_parts(word_items: tuple, parts: tuple) -> list[list[int]]:
-    """Greedy successive split of word positions along a tuple of multisets."""
-    remaining = list(range(len(word_items)))
-    out = []
-    for part in parts:
-        need = Counter(part.items)
-        got = []
-        rest = []
-        for j in remaining:
-            u = word_items[j].fst
-            if need[u] > 0:
-                need[u] -= 1
-                got.append(j)
-            else:
-                rest.append(j)
-        out.append(got)
-        remaining = rest
-    return out
 
 
 def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -626,23 +604,25 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
         pair(m, big) for big in dst.states if (m := _flatten(big)) in src.states
     )
 
-    def move(r, a):
-        parts = r.snd.items  # sorted arrangement of the grouping
-        split = _split_into_parts(a.items, parts)
-        b = tup(*(pair(part, tup(*(a.items[j] for j in grp))) for part, grp in zip(parts, split)))
-        return b, split
+    def deal(r, a):
+        # each slot goes to the first part, in sorted order, still short of its state
+        need = [Counter(part.items) for part in r.snd.items]
+        groups: list = [[] for _ in need]
+        for j, x in enumerate(a.items):
+            k = next(k for k, c in enumerate(need) if c[x.fst])
+            need[k][x.fst] -= 1
+            groups[k].append(j)
+        return groups
 
-    def back(r, a, split, e):
-        full: list = [None] * len(a.items)
-        for grp, sub in zip(split, e.items):
-            for j, d in zip(grp, sub.items):
-                full[j] = d
-        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
-        return tup(*full), pair(mset(nexts), mset(mset(nexts[j] for j in grp) for grp in split))
+    def spell(r, letters):
+        return tup(*(pair(part, tup(*ls)) for part, ls in zip(r.snd.items, letters)))
 
-    return _transport_sim(
-        src, dst, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
-    )
+    def land(r, nexts, of):
+        return pair(mset(nexts), mset(mset(x for x, g in zip(nexts, of) if g == k)
+                                      for k in range(len(r.snd.items))))
+
+    return _deal_sim(p, src, dst, apex, {r: r.snd for r in apex}, deal, spell,
+                     lambda e: [sub.items for sub in e.items], land)
 
 
 def deriving_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:

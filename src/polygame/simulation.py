@@ -32,10 +32,11 @@ swapped.
 
 The transports are written once as well: ``_transport_sim`` walks a span's
 source moves and target counters and asks one callback for alpha, another for
-beta and gamma.  Every builder goes through it (README, "The model") except
+beta and gamma.  Every builder goes through it (README, "The model"), the
+replay game's copy-dealing maps by way of ``exponential._deal_sim``, except
 the synthesised simulations, which come from the one extraction over the
-relation fixpoint's index (``synthesis._relation_simulation``),
-``counit_sim``, a single point, and the document decoder.
+relation fixpoint's index (``synthesis._relation_simulation``), and the
+document decoder.
 """
 
 from __future__ import annotations
