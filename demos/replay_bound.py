@@ -51,8 +51,10 @@ def main():
         print(f"  digging_sim(COIN, {K}): apex {len(d.apex)},"
               f" problems: {check_simulation(d) or 'none'}")
 
-    print("\nAll four comonoid laws hold up to full equivalence at K=2;")
-    print("run `polygame laws --suite exponential` to see them checked.")
+    print("\nAll four comonoid laws hold up to full equivalence at K=2, and so")
+    print("do digging's two counit laws: extracting after digging, either the")
+    print("replay game or one copy of each, is the identity.  Both gate")
+    print("`polygame laws --suite exponential`; run it to see them checked.")
 
 
 if __name__ == "__main__":

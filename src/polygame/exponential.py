@@ -595,8 +595,11 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
     """Iterate: replay game -> replay of the replay game.
 
     A witness holds a pool of copies together with a way to parcel it into at
-    most ``bound`` groups (empty groups allowed); moves are parcelled out
-    greedily along the canonical arrangement of the grouping.
+    most ``bound`` groups (empty groups allowed).  A move word deals each copy
+    to the first group, in sorted order, still short of its state; the target
+    word lists the groups in the order their first copies occur in the move
+    word, empty groups last.  So extracting after digging reads the move word
+    back in its own order, and both counit laws hold on the nose.
     """
     src = bang(p, bound, max_enum=max_enum)
     dst = bang(src, bound, max_enum=max_enum)
@@ -612,10 +615,10 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
             k = next(k for k, c in enumerate(need) if c[x.fst])
             need[k][x.fst] -= 1
             groups[k].append(j)
-        return groups
+        return sorted(groups, key=lambda grp: grp[0] if grp else len(a.items))
 
     def spell(r, letters):
-        return tup(*(pair(part, tup(*ls)) for part, ls in zip(r.snd.items, letters)))
+        return tup(*(pair(mset(x.fst for x in ls), tup(*ls)) for ls in letters))
 
     def land(r, nexts, of):
         return pair(mset(nexts), mset(mset(x for x, g in zip(nexts, of) if g == k)

@@ -38,7 +38,9 @@ from polygame.exponential import (
 )
 from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.games import validate_game
-from polygame.laws import random_simulation, run_suite, symmetrize_over_power, symmetrize_span
+from polygame.laws import (
+    random_game, random_simulation, run_suite, symmetrize_over_power, symmetrize_span,
+)
 from polygame.limits import EnumBudget, SizeRefused
 from polygame.monoidal import dual, lollipop, tensor
 from polygame.simulation import (
@@ -235,17 +237,29 @@ def test_digging_validates_with_frozen_apex_sizes():
     assert len(d2.dst.states) == multiset_count(len(bang(COIN, 2).states), 2)
 
 
-def test_digging_comonad_facts_at_desk_scale():
-    # what actually holds for the bounded construction: composing with
-    # dereliction of the replay game is the identity outright; promoting
-    # dereliction first only recovers the identity up to the span
+def test_digging_counit_laws_at_desk_scale():
+    # both counit laws hold outright: after digging, extracting the replay
+    # game, or promoting the extraction of one copy, is the identity
     bp = bang(COIN, 2)
     dig = digging_sim(COIN, 2)
     ident = identity_sim(bp)
     assert eq(compose(dig, dereliction_sim(bp, 2)), ident)
     promoted = compose(dig, bang_sim(dereliction_sim(COIN, 2), 2))
-    assert eq(promoted, ident, "span_only")
-    assert not eq(promoted, ident, "full")
+    assert eq(promoted, ident, "full")
+
+
+def test_replay_structure_maps_beyond_the_fixtures():
+    for seed in range(40):
+        p = random_game(random.Random(seed))
+        for bound in (1, 2):
+            for make in (counit_sim, comul_sim, dereliction_sim, digging_sim, deriving_sim):
+                assert check_simulation(make(p, bound)) == [], (seed, bound, make.__name__)
+            bp = bang(p, bound)
+            dig = digging_sim(p, bound)
+            ident = identity_sim(bp)
+            assert eq(compose(dig, dereliction_sim(bp, bound)), ident), (seed, bound)
+            promoted = compose(dig, bang_sim(dereliction_sim(p, bound), bound))
+            assert eq(promoted, ident), (seed, bound)
 
 
 def test_bang_sim_preserves_identities_and_validity(rng):
