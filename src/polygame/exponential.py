@@ -492,15 +492,15 @@ def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
 
 def _deal_sim(p: Game, src: Game, dst: Game, apex: FiniteSet, leg2, deal, spell, answers,
               land) -> Simulation:
-    """A structure map of the replay game ``src`` of p that deals out copies.
+    """A structure map of ``src``, the replay game of p, that deals out copies.
 
     An apex point r lies over the pool ``r.fst`` and over ``leg2[r]``.  At a
     move word a, ``deal(r, a)`` lists the target's groups, each a list of
-    slots of a, and the target move is ``spell(r, letters)``, from the
-    letters of a group by group.  A counter e to it gives each group's
-    counters in ``answers(e)``; they go back to the slots they came from,
-    every copy steps along p, and play lands on ``land(r, nexts, of)``, from
-    each slot's successor and the index of its group.
+    slots of a, and the target move is ``spell(r, letters)``, where
+    ``letters`` holds each group's letters of a.  For a counter e to that
+    move, ``answers(e)`` lists its counters group by group; each goes back to
+    the slot it came from, every copy steps along p, and play lands on
+    ``land(r, nexts, of)``, given each slot's successor and its group's index.
     """
     def move(r, a):
         groups = deal(r, a)
@@ -508,15 +508,16 @@ def _deal_sim(p: Game, src: Game, dst: Game, apex: FiniteSet, leg2, deal, spell,
         for g, grp in enumerate(groups):
             for j in grp:
                 of[j] = g
-        return spell(r, [[a.items[j] for j in grp] for grp in groups]), (groups, of)
+        slots = [j for grp in groups for j in grp]
+        copies = [(x.fst, x.snd) for x in a.items]
+        return spell(r, [[a.items[j] for j in grp] for grp in groups]), (slots, of, copies)
 
     def back(r, a, ctx, e):
-        groups, of = ctx
-        full: list = [None] * len(a.items)
-        for grp, sub in zip(groups, answers(e)):
-            for j, d in zip(grp, sub):
-                full[j] = d
-        nexts = [p.next[(x.fst, x.snd, d)] for x, d in zip(a.items, full)]
+        slots, of, copies = ctx
+        full: list = [None] * len(copies)
+        for j, d in zip(slots, answers(e)):
+            full[j] = d
+        nexts = [p.next[(u, m, d)] for (u, m), d in zip(copies, full)]
         return tup(*full), land(r, nexts, of)
 
     return _transport_sim(src, dst, apex, {r: r.fst for r in apex}, leg2, move, back)
@@ -526,7 +527,7 @@ def counit_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulat
     """Discard all copies: replay game -> unit, anchored at the empty position."""
     r0 = pair(mset([]), star())
     return _deal_sim(p, bang(p, bound, max_enum=max_enum), unit_game(), FiniteSet([r0]),
-                     {r0: star()}, lambda r, a: [], lambda r, letters: star(), lambda e: [],
+                     {r0: star()}, lambda r, a: [], lambda r, letters: star(), lambda e: (),
                      lambda r, nexts, of: r)
 
 
@@ -554,23 +555,23 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     )
 
     def pools(r):
-        dealt = tuple(zip(section(r.fst).items, r.snd.items))
+        dealt = tuple(zip(r.fst.items, r.snd.items))
         return pair(*(mset(x for x, t in dealt if t is tag) for tag in tags))
 
     def deal(r, a):
-        pos_tag = [r.snd.items[t] for t in canonical_match(_word_states(a), section(r.fst).items)]
+        pos_tag = [r.snd.items[t] for t in canonical_match(_word_states(a), r.fst.items)]
         return [[j for j, v in enumerate(pos_tag) if v is tag] for tag in tags]
 
     def land(r, nexts, of):
         n_full = mset(nexts)
         n_tags: list = [None] * len(nexts)
-        for j, t in enumerate(canonical_match(tuple(nexts), section(n_full).items)):
+        for j, t in enumerate(canonical_match(tuple(nexts), n_full.items)):
             n_tags[t] = tags[of[j]]
         return pair(n_full, tup(*n_tags))
 
     return _deal_sim(p, src, tensor(src, src), apex, {r: pools(r) for r in apex}, deal,
                      lambda r, letters: pair(*(tup(*ls) for ls in letters)),
-                     lambda e: (e.fst.items, e.snd.items), land)
+                     lambda e: e.fst.items + e.snd.items, land)
 
 
 def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
@@ -580,7 +581,7 @@ def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Si
     src = bang(p, bound, max_enum=max_enum)
     apex = FiniteSet(pair(mset([i]), i) for i in p.states)
     return _deal_sim(p, src, p, apex, {r: r.snd for r in apex}, lambda r, a: [[0]],
-                     lambda r, letters: letters[0][0].snd, lambda d: [(d,)],
+                     lambda r, letters: letters[0][0].snd, lambda d: (d,),
                      lambda r, nexts, of: pair(mset(nexts), nexts[0]))
 
 
@@ -608,7 +609,6 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
     )
 
     def deal(r, a):
-        # each slot goes to the first part, in sorted order, still short of its state
         need = [Counter(part.items) for part in r.snd.items]
         groups: list = [[] for _ in need]
         for j, x in enumerate(a.items):
@@ -621,11 +621,13 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
         return tup(*(pair(mset(x.fst for x in ls), tup(*ls)) for ls in letters))
 
     def land(r, nexts, of):
-        return pair(mset(nexts), mset(mset(x for x, g in zip(nexts, of) if g == k)
-                                      for k in range(len(r.snd.items))))
+        grouped: list = [[] for _ in r.snd.items]
+        for x, g in zip(nexts, of):
+            grouped[g].append(x)
+        return pair(mset(nexts), mset(map(mset, grouped)))
 
     return _deal_sim(p, src, dst, apex, {r: r.snd for r in apex}, deal, spell,
-                     lambda e: [sub.items for sub in e.items], land)
+                     lambda e: [d for sub in e.items for d in sub.items], land)
 
 
 def deriving_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
