@@ -5,7 +5,7 @@ Run with:  python3 demos/laws_by_the_batch.py [seed ...]
 
 import sys
 
-from polygame.laws import SUITES, advisory, failing, run_suite
+from polygame.laws import SUITES, failing, run_suite
 
 
 def main(argv):
@@ -16,12 +16,9 @@ def main(argv):
         for seed in seeds:
             checks = run_suite(suite, seed)
             bad = failing(checks)
-            infos = [c for c in checks if advisory(c["name"])]
             failures += len(bad)
             status = "ok" if not bad else "FAIL " + ", ".join(c["name"] for c in bad)
             print(f"  {suite:{width}s} seed={seed:<3d} {len(checks):2d} checks  {status}")
-            for c in infos:
-                print(f"  {'':{width}s}          note: {c['details']}")
     print(f"\ntotal failing checks: {failures}")
     return 1 if failures else 0
 

@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports, in the order of __all__
 _EXPORTS = {
-    "elements": "Element FiniteSet atom canonicalize fun mset pair star tup",
+    "elements": "Element FiniteSet atom fun mset pair star tup",
     "games": "FamilySet Game StateSpan carrier_iso extend from_symmetric_game make_game"
              " validate_family validate_game validate_state_span",
     "fixtures": "ALL_FIXTURES COIN EMPTY ONEWAY TRAP UNIT unit_game",

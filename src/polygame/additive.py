@@ -10,7 +10,10 @@ Two degenerate constructions bracket every game: ``free_game`` puts no moves
 on a set of positions (maps *out* of it are trivial to come by) and
 ``cofree_game`` puts exactly one committed move on each position (maps *into*
 it are).  ``adjoint_transpose`` converts between simulations touching these
-games and bare spans of positions, in both directions, losslessly.
+games and bare spans of positions, in both directions, losslessly.  Both
+layers are built row by row through ``games._build_game``, both transposes to
+a simulation through ``simulation._transport_sim``, and ``zero_game()`` is the
+one ``EMPTY``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .elements import FiniteSet, atom, pair
+from .fixtures import EMPTY
 from .games import Game, _build_game, _shared
 from .simulation import (
     Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span
@@ -28,8 +32,8 @@ _R = atom("R")
 
 
 def zero_game() -> Game:
-    """No positions at all: the unit of the sum."""
-    return Game(FiniteSet(), {}, {}, {})
+    """No positions at all: the unit of the sum.  Always the one ``EMPTY``."""
+    return EMPTY
 
 
 @_shared
@@ -120,17 +124,12 @@ def pairing(t1: Simulation, t2: Simulation) -> Simulation:
 
 def free_game(base: FiniteSet) -> Game:
     """Positions with no moves at all."""
-    return Game(base, {i: FiniteSet() for i in base}, {}, {})
+    return _build_game(base, lambda i: ())
 
 
 def cofree_game(base: FiniteSet) -> Game:
     """Positions with exactly one committed move each (and no counters)."""
-    return Game(
-        base,
-        {i: FiniteSet([i]) for i in base},
-        {(i, i): FiniteSet() for i in base},
-        {},
-    )
+    return _build_game(base, lambda i: ((i, (), ()),))
 
 
 def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: Game):
@@ -143,34 +142,25 @@ def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: G
     """
     if side not in ("left", "right") or direction not in ("to_span", "to_sim"):
         raise ValueError(f"unknown transpose {side!r}/{direction!r}")
+    sides = (base, game.states) if side == "left" else (game.states, base)
 
     if direction == "to_span":
         s = datum
         if not isinstance(s, Simulation):
             raise TypeError("to_span expects a Simulation")
-        if side == "left":
-            return Span(base, game.states, s.apex, dict(s.leg1), dict(s.leg2))
-        return Span(game.states, base, s.apex, dict(s.leg1), dict(s.leg2))
+        return Span(*sides, s.apex, dict(s.leg1), dict(s.leg2))
 
     sp = datum
     if not isinstance(sp, Span):
         raise TypeError("to_sim expects a Span")
-    bad = validate_span(sp)
+    bad = validate_span(Span(*sides, sp.apex, sp.leg1, sp.leg2))
     if bad:
         raise ValueError("invalid span: " + "; ".join(bad))
     if side == "left":
-        src = free_game(base)
-        return Simulation(
-            src, game, sp.apex, dict(sp.leg1), dict(sp.leg2), {}, {}, {}
-        )
-    # every move is answered by the committed move at leg2, which has no counters
-    return _transport_sim(
-        game,
-        cofree_game(base),
-        sp.apex,
-        dict(sp.leg1),
-        dict(sp.leg2),
-        lambda r, a1: (sp.leg2[r], None),
-        None,
-    )
+        # the free side has no moves, so there is nothing to transport
+        src, dst, move = free_game(base), game, None
+    else:
+        # every move is answered by the committed move at leg2, which has no counters
+        src, dst, move = game, cofree_game(base), lambda r, a1: (sp.leg2[r], None)
+    return _transport_sim(src, dst, sp.apex, dict(sp.leg1), dict(sp.leg2), move, None)
 

@@ -254,27 +254,6 @@ def _want(e) -> None:
         raise TypeError(f"expected an Element, got {type(e).__name__}")
 
 
-def canonicalize(e: Element) -> Element:
-    """Rebuild an element bottom-up into canonical form.
-
-    Constructors already canonicalise and intern, so this returns the very
-    same object for every value built through the public API; it exists as an
-    explicit normaliser (and as the thing property tests pin down).
-    """
-    k = e.kind
-    if k in ("atom", "star"):
-        return e
-    if k == "pair":
-        return pair(canonicalize(e.data[0]), canonicalize(e.data[1]))
-    if k == "tuple":
-        return tup(*(canonicalize(x) for x in e.data))
-    if k == "mset":
-        return mset(canonicalize(x) for x in e.data)
-    if k == "fun":
-        return fun([(canonicalize(a), canonicalize(b)) for a, b in e.data])
-    raise AssertionError(k)
-
-
 class FiniteSet:
     """An immutable finite set of elements, kept in canonical sorted order.
 
@@ -312,9 +291,6 @@ class FiniteSet:
 
     def __eq__(self, other):
         return isinstance(other, FiniteSet) and self._items == other._items
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self._items)

@@ -563,11 +563,9 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
         return [[j for j, v in enumerate(pos_tag) if v is tag] for tag in tags]
 
     def land(r, nexts, of):
-        n_full = mset(nexts)
-        n_tags: list = [None] * len(nexts)
-        for j, t in enumerate(canonical_match(tuple(nexts), n_full.items)):
-            n_tags[t] = tags[of[j]]
-        return pair(n_full, tup(*n_tags))
+        # the pool sorts the successors stably, so its t-th copy is slot order[t]
+        order = sorted(range(len(nexts)), key=lambda j: nexts[j].key)
+        return pair(mset(nexts), tup(*(tags[of[j]] for j in order)))
 
     return _deal_sim(p, src, tensor(src, src), apex, {r: pools(r) for r in apex}, deal,
                      lambda r, letters: pair(*(tup(*ls) for ls in letters)),

@@ -12,7 +12,7 @@ ONEWAY  the same hazard with the fatal counter removed -- `go` is always
 
 from __future__ import annotations
 
-from .elements import FiniteSet, atom, star
+from .elements import atom, star
 from .games import Game, make_game
 
 
@@ -72,6 +72,6 @@ UNIT = _unit()
 COIN = _coin()
 TRAP = _trap()
 ONEWAY = _oneway()
-EMPTY = Game(states=FiniteSet(), moves={}, counters={}, next={})
+EMPTY = make_game([], {}, {}, {})
 
 ALL_FIXTURES = {"unit": UNIT, "coin": COIN, "trap": TRAP, "oneway": ONEWAY, "empty": EMPTY}

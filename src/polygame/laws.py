@@ -15,9 +15,8 @@ To check existing laws on new inputs, add a scope: register the laws in
 :data:`SUITES` with a ``draw`` returning cases of the shape they take under
 their scope's name.
 
-Checks whose name is :func:`advisory` (it starts with ``info:``) report
-genuinely computed results for properties the library does not promise;
-:func:`failing`, which the CLI's exit code follows, ignores them.
+Every check gates: :func:`failing`, which the CLI's exit code follows, lists
+the checks that fail.
 
 The random generators here produce *valid* objects by construction: games
 with total tables, and simulations whose transports are chosen among the
@@ -57,14 +56,9 @@ def check(name: str, ok: bool, details: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "details": details}
 
 
-def advisory(name: str) -> bool:
-    """Whether a check of this name only reports, and gates nothing."""
-    return name.startswith("info:")
-
-
 def failing(checks: list[dict]) -> list[dict]:
-    """The checks of a report that fail and gate its verdict."""
-    return [c for c in checks if not c["ok"] and not advisory(c["name"])]
+    """The checks of a report that fail: any one fails the verdict."""
+    return [c for c in checks if not c["ok"]]
 
 
 class Law(NamedTuple):

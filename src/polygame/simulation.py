@@ -32,11 +32,12 @@ swapped.
 
 The transports are written once as well: ``_transport_sim`` walks a span's
 source moves and target counters and asks one callback for alpha, another for
-beta and gamma.  Every builder goes through it (README, "The model"), the
-replay game's copy-dealing maps by way of ``exponential._deal_sim``, except
-the synthesised simulations, which come from the one extraction over the
-relation fixpoint's index (``synthesis._relation_simulation``), and the
-document decoder.
+beta and gamma.  Every builder goes through it (README, "The model"), even
+``zero_sim`` and the transposes out of a free game, which have nothing to
+transport; the replay game's copy-dealing maps go by way of
+``exponential._deal_sim``.  The exceptions are the synthesised simulations,
+which come from the one extraction over the relation fixpoint's index
+(``synthesis._relation_simulation``), and the document decoder.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
 
 def zero_sim(src: Game, dst: Game) -> Simulation:
     """The empty simulation (the zero of the enrichment)."""
-    return Simulation(src, dst, FiniteSet(), {}, {}, {}, {}, {})
+    return _transport_sim(src, dst, FiniteSet(), {}, {}, None, None)
 
 
 def add(s: Simulation, t: Simulation) -> Simulation:

@@ -5,18 +5,24 @@ import itertools
 import pytest
 
 from polygame.additive import (
+    adjoint_transpose,
     bigoplus,
+    cofree_game,
     copair,
+    free_game,
     injection,
     oplus,
     pairing,
     projection,
     zero_game,
 )
+from polygame.elements import FiniteSet, atom
 from polygame.fixtures import COIN, EMPTY, ONEWAY, TRAP, UNIT
-from polygame.games import validate_game
+from polygame.games import Game, validate_game
 from polygame.laws import random_simulation
 from polygame.simulation import (
+    Simulation,
+    Span,
     add,
     check_simulation,
     compose,
@@ -35,6 +41,24 @@ def test_oplus_carrier_is_disjoint_union():
     assert len(g.states) == len(COIN.states) + len(TRAP.states)
     tags = sorted({st.fst.key[1] for st in g.states})
     assert tags == ["L", "R"]
+
+
+# the trivial layers and the zero map, against the literal tables they once were
+def test_trivial_layers_and_the_zero_map_match_their_literal_tables():
+    for base in (COIN.states, TRAP.states, FiniteSet()):
+        assert free_game(base) == Game(base, {i: FiniteSet() for i in base}, {}, {})
+        assert cofree_game(base) == Game(
+            base, {i: FiniteSet([i]) for i in base}, {(i, i): FiniteSet() for i in base}, {}
+        )
+    assert zero_game() is EMPTY
+    assert EMPTY == Game(FiniteSet(), {}, {}, {})
+    assert zero_sim(COIN, TRAP) == Simulation(COIN, TRAP, FiniteSet(), {}, {}, {}, {}, {})
+    base = FiniteSet([atom("x"), atom("y")])
+    apex = FiniteSet(atom(f"r{n}") for n in range(3))
+    leg1 = dict(zip(apex, (atom("x"), atom("x"), atom("y"))))
+    leg2 = dict(zip(apex, TRAP.states.items * 2))
+    got = adjoint_transpose("left", "to_sim", Span(base, TRAP.states, apex, leg1, leg2), base, TRAP)
+    assert got == Simulation(free_game(base), TRAP, apex, leg1, leg2, {}, {}, {})
 
 
 def test_oplus_with_zero_object_adds_nothing():

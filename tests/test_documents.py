@@ -203,9 +203,9 @@ def test_malformed_v2_names_its_path(name):
     mangle, path = MALFORMED_V2[name]
     doc = json.loads(dump_document("simulation", max_simulation(COIN, COIN), False))
     mangle(doc)
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(DocumentError) as raised:
         load_document(json.dumps(doc))
-    assert str(info.value).startswith(path), str(info.value)
+    assert str(raised.value).startswith(path), str(raised.value)
 
 
 def test_version_1_documents_are_refused():

@@ -26,6 +26,7 @@ from polygame.simulation import (
     span_identity,
     span_iso,
     underlying_span,
+    validate_span,
     zero_sim,
 )
 from polygame.synthesis import max_simulation
@@ -341,3 +342,26 @@ def test_checker_reports_an_invalid_game_row_it_never_reads():
     src = Game(COIN.states, COIN.moves, COIN.counters, {**COIN.next, (h, h, h): h})
     bad = Simulation(src, s.dst, s.apex, s.leg1, s.leg2, s.alpha, s.beta, s.gamma)
     assert check_simulation(bad) == [f"src: successor at unknown triple {(h, h, h)!r}"]
+
+
+
+# a span is checked against the sides the transpose was asked for, whatever
+# sides it names itself
+@pytest.mark.parametrize("side, leg, stray", [
+    ("left", "leg1", atom("nowhere")),   # a leg1 outside base
+    ("right", "leg2", atom("nowhere")),  # a leg2 outside base
+    ("right", "leg1", atom("ok")),       # a span over TRAP's states, transposed at COIN
+], ids=["left-leg1-off-base", "right-leg2-off-base", "right-off-the-game"])
+def test_transpose_to_sim_refuses_a_span_off_its_sides(side, leg, stray):
+    base = FiniteSet([atom("x")])
+    asked = (base, COIN.states) if side == "left" else (COIN.states, base)
+    r = atom("r")
+    legs = {"leg1": {r: asked[0].items[0]}, "leg2": {r: asked[1].items[0]}}
+    legs[leg][r] = stray
+    # the sides the span names hold its legs, so it is valid on its own terms
+    sp = Span(FiniteSet(legs["leg1"].values()), FiniteSet(legs["leg2"].values()),
+              FiniteSet([r]), legs["leg1"], legs["leg2"])
+    assert validate_span(sp) == []
+    with pytest.raises(ValueError) as raised:
+        adjoint_transpose(side, "to_sim", sp, base, COIN)
+    assert str(raised.value) == f"invalid span: {leg}({r!r}) = {stray!r} is not in base"

@@ -288,16 +288,16 @@ def _invalid_games():
          "sim_exists_alfred", "sim_exists_dominic", "max_simulation_src", "max_simulation_dst"],
 )
 def test_synthesis_refuses_invalid_games(g, why, call):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as raised:
         call(g)
-    assert str(info.value) == "invalid game: " + "; ".join(validate_game(g))
-    assert why in str(info.value)
+    assert str(raised.value) == "invalid game: " + "; ".join(validate_game(g))
+    assert why in str(raised.value)
 
 
 def test_sim_exists_refuses_unknown_side():
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as raised:
         sim_exists(COIN, "nobody")
-    assert str(info.value) == "unknown side 'nobody'"
+    assert str(raised.value) == "unknown side 'nobody'"
 
 
 # A region costs one check per state plus one per removed successor, so the
