@@ -24,7 +24,7 @@ _EXPORTS = {
     "games": "FamilySet Game StateSpan carrier_iso extend from_symmetric_game make_game"
              " validate_family validate_game validate_state_span",
     "fixtures": "ALL_FIXTURES COIN EMPTY ONEWAY TRAP UNIT unit_game",
-    "limits": "DEFAULT_MAX_ENUM DEFAULT_SEARCH_BOUND SearchRefused SizeRefused",
+    "limits": "DEFAULT_MAX_ENUM DEFAULT_SEARCH_BOUND SearchRefused SizeRefused ceiling",
     "simulation": "Simulation Span SpanIso add check_simulation compose equivalent identity_sim"
                   " span_compose span_embedding span_equal span_identity span_iso"
                   " underlying_span validate_span zero_sim",

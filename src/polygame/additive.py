@@ -138,16 +138,23 @@ def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: G
     ``side="left"``: simulations free_game(base) -> game correspond to spans
     base -> game.states.  ``side="right"``: simulations game -> cofree_game(base)
     correspond to spans game.states -> base.  ``direction`` is ``"to_span"``
-    or ``"to_sim"``.  Both round trips are exact on raw data.
+    or ``"to_sim"``.  Both round trips are exact on raw data.  A datum off the
+    sides (a span) or ends (a simulation) asked for raises ValueError.
     """
     if side not in ("left", "right") or direction not in ("to_span", "to_sim"):
         raise ValueError(f"unknown transpose {side!r}/{direction!r}")
-    sides = (base, game.states) if side == "left" else (game.states, base)
+    if side == "left":
+        sides, ends, run = (base, game.states), (free_game(base), game), "free_game(base) -> game"
+    else:
+        sides, ends = (game.states, base), (game, cofree_game(base))
+        run = "game -> cofree_game(base)"
 
     if direction == "to_span":
         s = datum
         if not isinstance(s, Simulation):
             raise TypeError("to_span expects a Simulation")
+        if (s.src, s.dst) != ends:
+            raise ValueError(f"invalid simulation: it does not run {run}")
         return Span(*sides, s.apex, dict(s.leg1), dict(s.leg2))
 
     sp = datum
@@ -156,11 +163,8 @@ def adjoint_transpose(side: str, direction: str, datum, base: FiniteSet, game: G
     bad = validate_span(Span(*sides, sp.apex, sp.leg1, sp.leg2))
     if bad:
         raise ValueError("invalid span: " + "; ".join(bad))
-    if side == "left":
-        # the free side has no moves, so there is nothing to transport
-        src, dst, move = free_game(base), game, None
-    else:
-        # every move is answered by the committed move at leg2, which has no counters
-        src, dst, move = game, cofree_game(base), lambda r, a1: (sp.leg2[r], None)
-    return _transport_sim(src, dst, sp.apex, dict(sp.leg1), dict(sp.leg2), move, None)
-
+    # the free side has no moves, so there is nothing to transport; on the
+    # cofree side every move is answered by the committed move at leg2, which
+    # has no counters
+    move = None if side == "left" else lambda r, a1: (sp.leg2[r], None)
+    return _transport_sim(*ends, sp.apex, dict(sp.leg1), dict(sp.leg2), move, None)

@@ -24,7 +24,7 @@ from . import __version__
 from .documents import DocumentError, dump_document, load_document
 from .fixtures import ALL_FIXTURES
 from .games import Game, validate_game
-from .limits import DEFAULT_MAX_ENUM, DEFAULT_SEARCH_BOUND, SearchRefused, SizeRefused
+from .limits import DEFAULT_MAX_ENUM, DEFAULT_SEARCH_BOUND, SearchRefused, SizeRefused, ceiling
 from .simulation import Simulation, check_simulation, compose, equivalent
 from .synthesis import (
     alfred_region,
@@ -99,8 +99,8 @@ class _Parser(argparse.ArgumentParser):
 
 _MAX_ENUM = ("--max-enum", dict(
     type=int, default=DEFAULT_MAX_ENUM,
-    help="Refuse constructions that would enumerate more entries than this "
-         "(default: %(default)s).",
+    help="Refuse the command's construction, nested builds included, once it would "
+         "enumerate more entries than this in all (default: %(default)s).",
 ))
 
 # command name -> (function, arguments); an argument is a positional name or
@@ -142,7 +142,7 @@ def _lollipop(a):
     """The game of translations from GAME1 to GAME2."""
     from .monoidal import lollipop
 
-    _emit("game", lollipop(_load_game(a.game1), _load_game(a.game2), max_enum=a.max_enum), a)
+    _emit("game", lollipop(_load_game(a.game1), _load_game(a.game2)), a)
 
 
 @_command("dual", "game", _MAX_ENUM)
@@ -150,7 +150,7 @@ def _dual(a):
     """Swap the two players by enumerating answer tables."""
     from .monoidal import dual
 
-    _emit("game", dual(_load_game(a.game), max_enum=a.max_enum), a)
+    _emit("game", dual(_load_game(a.game)), a)
 
 
 @_command("power", "game", ("copies", dict(type=int)), _MAX_ENUM)
@@ -158,7 +158,7 @@ def _power(a):
     """COPIES unordered copies of GAME."""
     from .exponential import power_game
 
-    _emit("game", power_game(_load_game(a.game), a.copies, max_enum=a.max_enum), a)
+    _emit("game", power_game(_load_game(a.game), a.copies), a)
 
 
 @_command("bang", "game", ("bound", dict(type=int)), _MAX_ENUM)
@@ -166,7 +166,7 @@ def _bang(a):
     """Replays of GAME: every unordered batch of up to BOUND copies."""
     from .exponential import bang
 
-    _emit("game", bang(_load_game(a.game), a.bound, max_enum=a.max_enum), a)
+    _emit("game", bang(_load_game(a.game), a.bound), a)
 
 
 @_command("compose", "sim1", "sim2")
@@ -213,7 +213,7 @@ def _curry(a):
     from .monoidal import curry
 
     g1, g2 = _load_game(a.game1), _load_game(a.game2)
-    _emit("simulation", curry(_load_sim(a.sim), g1, g2, max_enum=a.max_enum), a)
+    _emit("simulation", curry(_load_sim(a.sim), g1, g2), a)
 
 
 @_command("uncurry", "sim", "game1", "game2", "game3")
@@ -258,7 +258,7 @@ def _factor_power(a):
 
     s = _load_sim(a.sim)
     g = _load_game(a.game)
-    _emit("simulation", factor_through_power(s, g, a.copies, max_enum=a.max_enum), a)
+    _emit("simulation", factor_through_power(s, g, a.copies), a)
 
 
 @_command(
@@ -311,6 +311,7 @@ def _parse(argv: list[str]):
 def main(args=None, standalone_mode: bool = True):
     """Run one command line (``sys.argv[1:]`` when ``args`` is None).
 
+    A command that takes ``--max-enum`` runs under that :func:`ceiling`.
     The one place that turns a command's refusal or bad input into its exit
     code: past a ceiling or search bound exits 2, any other ValueError
     (mismatched endpoints, an unknown suite) exits 1.  A failing call always
@@ -319,7 +320,8 @@ def main(args=None, standalone_mode: bool = True):
     """
     run, a = _parse(sys.argv[1:] if args is None else list(args))
     try:
-        run(a)
+        with ceiling(getattr(a, "max_enum", DEFAULT_MAX_ENUM)):
+            run(a)
     except (SizeRefused, SearchRefused) as exc:
         _die(EXIT_REFUSED, str(exc))
     except ValueError as exc:

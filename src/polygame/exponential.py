@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 from .elements import Element, FiniteSet, atom, mset, pair, star, tup
 from .fixtures import unit_game
 from .games import Game, _build_game, _shared
-from .limits import DEFAULT_MAX_ENUM, EnumBudget, SizeRefused
+from .limits import _budget, _charged
 from .monoidal import tensor
 from .simulation import (
     Simulation, Span, _fibers, _pair_fibers, _relabel_sim, _transport_sim
@@ -76,10 +76,11 @@ def canonical_match(u_items: tuple, v_items: tuple) -> Optional[tuple]:
     return tuple(sigma)
 
 
-def all_perms(k: int, max_enum: int = DEFAULT_MAX_ENUM) -> list[tuple]:
-    """The permutations of range(k) in lexicographic order, refused past
-    ``max_enum`` before any is listed."""
-    EnumBudget("all_perms", max_enum).charge(factorial(k))
+@_charged
+def all_perms(k: int) -> list[tuple]:
+    """The permutations of range(k) in lexicographic order, their k! charged
+    before any is listed."""
+    _budget().charge(factorial(k), "all_perms")
     return list(itertools.permutations(range(k)))
 
 
@@ -96,9 +97,10 @@ def section(m: Element) -> Element:
     return tup(*m.items)
 
 
+@_charged
 def all_words(base: FiniteSet, k: int) -> FiniteSet:
-    """The words of length k over base, refused past the default ceiling."""
-    return FiniteSet(tup(*w) for w in EnumBudget("all_words", DEFAULT_MAX_ENUM).pi([base] * k))
+    """The words of length k over base, their number charged before any is built."""
+    return FiniteSet(tup(*w) for w in _budget().pi([base] * k, "all_words"))
 
 
 def all_msets(base: FiniteSet, k: int) -> FiniteSet:
@@ -114,10 +116,11 @@ def all_msets_upto(base: FiniteSet, bound: int) -> FiniteSet:
     return FiniteSet(out)
 
 
-def _distinct_arrangements(m: Element, budget: EnumBudget):
+def _distinct_arrangements(m: Element, what: str):
     """The distinct arrangements of a multiset, in lexicographic order, their
-    number (the multinomial of m's multiplicities) charged to ``budget`` first."""
-    budget.charge(factorial(len(m.items)) // prod(map(factorial, Counter(m.items).values())))
+    number (the multinomial of m's multiplicities) charged as ``what`` first."""
+    n = factorial(len(m.items)) // prod(map(factorial, Counter(m.items).values()))
+    _budget().charge(n, what)
     return _rearrangements(m.items)
 
 
@@ -135,19 +138,18 @@ def _rearrangements(word: tuple):
 
 
 @_shared
-def tensor_power(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
+def tensor_power(p: Game, k: int) -> Game:
     """k ordered copies played in lockstep."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    budget = EnumBudget("tensor_power", max_enum)
-    states = (tup(*w) for w in budget.pi([p.states] * k))
-    row = _lockstep(p, budget, lambda i: [i.items], lambda arr, choice: tup(*choice),
+    states = (tup(*w) for w in _budget().pi([p.states] * k, "tensor_power"))
+    row = _lockstep(p, "tensor_power", lambda i: [i.items], lambda arr, choice: tup(*choice),
                     lambda js: tup(*js))
     return _build_game(states, row)
 
 
 @_shared
-def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
+def power_game(p: Game, k: int) -> Game:
     """k copies up to reshuffling.
 
     A move at a multiset position is a *word* of (position, move) pairs whose
@@ -157,37 +159,38 @@ def power_game(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    budget = EnumBudget("power", max_enum)
-    return _build_game(_power_states(p, [k], budget), _power_row(p, budget))
+    return _powers(p, [k], "power")
 
 
-def _power_states(p: Game, ks, budget: EnumBudget):
-    """The states of the powers ``ks`` of p, each power's count of multisets
-    charged to ``budget`` before its states are built."""
+def _powers(p: Game, ks, what: str) -> Game:
+    """The powers ``ks`` of p side by side, charged as ``what``: each power's
+    count of multisets before its states are built, then each state's rows."""
     n = len(p.states)
-    for k in ks:
-        budget.charge(comb(n + k - 1, k) if n else int(k == 0))  # multisets of size k
-        yield from all_msets(p.states, k)
+
+    def states():
+        for k in ks:
+            _budget().charge(comb(n + k - 1, k) if n else int(k == 0), what)  # multisets of size k
+            yield from all_msets(p.states, k)
+
+    return _build_game(states(), _lockstep(p, what, lambda m: _distinct_arrangements(m, what),
+                                           lambda arr, choice: tup(*map(pair, arr, choice)), mset))
 
 
-def _power_row(p: Game, budget: EnumBudget):
-    return _lockstep(p, budget, lambda m: _distinct_arrangements(m, budget),
-                     lambda arr, choice: tup(*map(pair, arr, choice)), mset)
-
-
-def _lockstep(p: Game, budget: EnumBudget, arrangements, spell, land):
+def _lockstep(p: Game, what: str, arrangements, spell, land):
     """The row function of copies of p played in lockstep.
 
     At a state i, every arrangement ``arr`` in ``arrangements(i)`` (tuples
     of p's states) offers one move per choice of a p-move in each copy,
     spelled ``spell(arr, choice)``; a counter answers every copy, and play
-    lands on ``land`` of the copies' successors.  Both products go through
-    ``budget.pi``.
+    lands on ``land`` of the copies' successors.  Both products are charged
+    as ``what``.
     """
+    budget = _budget()
+
     def row(i):
         for arr in arrangements(i):
-            for choice in budget.pi(p.moves[u] for u in arr):
-                dss = list(budget.pi(p.counters[(u, a)] for u, a in zip(arr, choice)))
+            for choice in budget.pi((p.moves[u] for u in arr), what):
+                dss = list(budget.pi((p.counters[(u, a)] for u, a in zip(arr, choice)), what))
                 yield spell(arr, choice), tuple([tup(*ds) for ds in dss]), [
                     land(p.next[(u, a, d)] for u, a, d in zip(arr, choice, ds)) for ds in dss
                 ]
@@ -206,18 +209,19 @@ def _word_moves(word: Element) -> tuple:
 # -- the canonical comparison simulations ---------------------------------------
 
 
-def symmetry_sim(p: Game, k: int, sigma: tuple, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+def symmetry_sim(p: Game, k: int, sigma: tuple) -> Simulation:
     """Reshuffling k ordered copies along a fixed permutation."""
     if sorted(sigma) != list(range(k)):
         raise ValueError(f"{sigma!r} is not a permutation of 0..{k - 1}")
-    g = tensor_power(p, k, max_enum=max_enum)
+    g = tensor_power(p, k)
     inv = perm_inverse(sigma)
     return _relabel_sim(
         g, g, lambda x: tup(*perm_apply(sigma, x.items)), lambda e: tup(*perm_apply(inv, e.items))
     )
 
 
-def chat(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+@_charged
+def chat(p: Game, k: int) -> Simulation:
     """The power compared against the ordered power.
 
     Apex = ordered positions; the left leg forgets the arrangement.  A power
@@ -225,8 +229,7 @@ def chat(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
     re-spells it along the apex's arrangement, counters travel back the same
     way, and play advances pointwise.
     """
-    src = power_game(p, k, max_enum=max_enum)
-    dst = tensor_power(p, k, max_enum=max_enum)
+    src, dst = power_game(p, k), tensor_power(p, k)
 
     def move(i, a):
         sigma = canonical_match(_word_states(a), i.items)
@@ -238,14 +241,14 @@ def chat(p: Game, k: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
         return tup(*(e.items[t] for t in sigma)), dst.next[(i, raw, e)]
 
     apex = dst.states
-    return _transport_sim(
-        src, dst, apex, {i: orbit(i) for i in apex}, {i: i for i in apex}, move, back
-    )
+    return _transport_sim(src, dst, apex, {i: orbit(i) for i in apex}, {i: i for i in apex},
+                          move, back)
 
 
 # -- transporting permutation actions -------------------------------------------
 
 
+@_charged
 def permutation_transport(h: Mapping[Element, Element], g: Mapping[Element, Element], k: int):
     """Lift an arrangement-preserving map along a relabelling of letters.
 
@@ -313,14 +316,12 @@ def _reshuffle(sigma: tuple, leg: int):
     return lambda k: (k[0], tup(*perm_apply(sigma, k[1].items)))
 
 
-def _reshuffle_witnesses(
-    x, k: int, leg: int, max_enum: int = DEFAULT_MAX_ENUM
-) -> Optional[dict]:
+def _reshuffle_witnesses(x, k: int, leg: int) -> Optional[dict]:
     """Per-permutation apex bijections of x (a span or a simulation) that
     reshuffle the word on ``leg`` and keep the other leg; None if none exist."""
     fibers = _fibers(x)
     out = {}
-    for sigma in all_perms(k, max_enum):
+    for sigma in all_perms(k):
         h = _pair_fibers(fibers, fibers, _reshuffle(sigma, leg))
         if h is None:
             return None
@@ -328,12 +329,10 @@ def _reshuffle_witnesses(
     return out
 
 
-def _check_witnesses(
-    x, k: int, witnesses: dict, leg: int, max_enum: int = DEFAULT_MAX_ENUM
-) -> None:
+def _check_witnesses(x, k: int, witnesses: dict, leg: int) -> None:
     """Raise ValueError unless, for every permutation, ``witnesses`` holds an
     apex bijection of x that reshuffles the word on ``leg`` and keeps the other leg."""
-    for sigma in all_perms(k, max_enum):
+    for sigma in all_perms(k):
         if sigma not in witnesses:
             raise ValueError(f"missing witness for permutation {sigma!r}")
         h = witnesses[sigma]
@@ -345,25 +344,20 @@ def _check_witnesses(
                 raise ValueError(f"witness for {sigma!r} breaks the legs at {r.text()}")
 
 
-def find_symmetry_witnesses(
-    s: Simulation, k: int, max_enum: int = DEFAULT_MAX_ENUM
-) -> Optional[dict]:
+def find_symmetry_witnesses(s: Simulation, k: int) -> Optional[dict]:
     """Per-permutation apex bijections H with leg2 o H = sigma o leg2, leg1 o H = leg1.
 
     Exists exactly when the apex is symmetric over the ordered power: the
     fiber over (q, word) always matches the fiber over (q, reshuffled word)
     in size.  The canonical witness pairs sorted fibers.  Returns None when
-    some fiber counts disagree.  The k! permutations are charged to ``max_enum``.
+    some fiber counts disagree.  The k! permutations are charged first.
     """
-    return _reshuffle_witnesses(s, k, 2, max_enum)
+    return _reshuffle_witnesses(s, k, 2)
 
 
+@_charged
 def factor_through_power(
-    s: Simulation,
-    p: Game,
-    k: int,
-    witnesses: Optional[dict] = None,
-    max_enum: int = DEFAULT_MAX_ENUM,
+    s: Simulation, p: Game, k: int, witnesses: Optional[dict] = None
 ) -> Simulation:
     """Factor a symmetric simulation into the ordered power through the power.
 
@@ -372,16 +366,16 @@ def factor_through_power(
     following s' with :func:`chat`.  Witnesses are searched for when not
     supplied; supplied ones are checked.
     """
-    if s.dst != tensor_power(p, k, max_enum=max_enum):
+    if s.dst != tensor_power(p, k):
         raise ValueError("factor_through_power: target is not the ordered power")
     if witnesses is None:
-        witnesses = find_symmetry_witnesses(s, k, max_enum)
+        witnesses = find_symmetry_witnesses(s, k)
         if witnesses is None:
             raise ValueError("apex is not symmetric: no witnesses exist")
     else:
-        _check_witnesses(s, k, witnesses, 2, max_enum)
+        _check_witnesses(s, k, witnesses, 2)
 
-    dst = power_game(p, k, max_enum=max_enum)
+    dst = power_game(p, k)
     pts = {}
     for r in s.apex:
         w = s.leg2[r]
@@ -399,15 +393,8 @@ def factor_through_power(
         w2 = s.leg2[r2].items
         return s.beta[key], pts[witnesses[canonical_match(w2, tuple(sorted(w2)))][r2]]
 
-    return _transport_sim(
-        s.src,
-        dst,
-        apex,
-        {pt: s.leg1[pt.snd] for pt in apex},
-        {pt: pt.fst for pt in apex},
-        move,
-        back,
-    )
+    return _transport_sim(s.src, dst, apex, {pt: s.leg1[pt.snd] for pt in apex},
+                          {pt: pt.fst for pt in apex}, move, back)
 
 
 # -- span-level: arrangements versus contents ------------------------------------
@@ -416,27 +403,18 @@ def factor_through_power(
 def orbit_span(base: FiniteSet, k: int) -> Span:
     """Words related to their contents (apex = words)."""
     words = all_words(base, k)
-    return Span(
-        words,
-        all_msets(base, k),
-        words,
-        {w: w for w in words},
-        {w: orbit(w) for w in words},
-    )
+    return Span(words, all_msets(base, k), words, {w: w for w in words},
+                {w: orbit(w) for w in words})
 
 
 def section_span(base: FiniteSet, k: int) -> Span:
     """Contents related to their canonical arrangement (apex = multisets)."""
     msets = all_msets(base, k)
-    return Span(
-        msets,
-        all_words(base, k),
-        msets,
-        {m: m for m in msets},
-        {m: section(m) for m in msets},
-    )
+    return Span(msets, all_words(base, k), msets, {m: m for m in msets},
+                {m: section(m) for m in msets})
 
 
+@_charged
 def span_free_monoid_factor(
     phi: Span, base: FiniteSet, k: int, witnesses: Optional[dict] = None
 ):
@@ -459,13 +437,8 @@ def span_free_monoid_factor(
         _check_witnesses(phi, k, witnesses, 1)
 
     kept = [r for r in phi.apex if phi.leg1[r].items == tuple(sorted(phi.leg1[r].items))]
-    psi = Span(
-        all_msets(base, k),
-        phi.dst,
-        FiniteSet(kept),
-        {r: orbit(phi.leg1[r]) for r in kept},
-        {r: phi.leg2[r] for r in kept},
-    )
+    psi = Span(all_msets(base, k), phi.dst, FiniteSet(kept), {r: orbit(phi.leg1[r]) for r in kept},
+               {r: phi.leg2[r] for r in kept})
     eps = {}
     for r in phi.apex:
         w = phi.leg1[r].items
@@ -478,16 +451,12 @@ def span_free_monoid_factor(
 
 
 @_shared
-def bang(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
-    """Up to ``bound`` simultaneous replays: the powers 0..bound side by side.
-
-    All the powers are charged to one budget, so ``max_enum`` caps what the
-    whole game enumerates.
-    """
+def bang(p: Game, bound: int) -> Game:
+    """Up to ``bound`` simultaneous replays: the powers 0..bound side by side,
+    all charged to the one budget of the call."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    budget = EnumBudget("bang", max_enum)
-    return _build_game(_power_states(p, range(bound + 1), budget), _power_row(p, budget))
+    return _powers(p, range(bound + 1), "bang")
 
 
 def _deal_sim(p: Game, src: Game, dst: Game, apex: FiniteSet, leg2, deal, spell, answers,
@@ -523,15 +492,16 @@ def _deal_sim(p: Game, src: Game, dst: Game, apex: FiniteSet, leg2, deal, spell,
     return _transport_sim(src, dst, apex, {r: r.fst for r in apex}, leg2, move, back)
 
 
-def counit_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+def counit_sim(p: Game, bound: int) -> Simulation:
     """Discard all copies: replay game -> unit, anchored at the empty position."""
     r0 = pair(mset([]), star())
-    return _deal_sim(p, bang(p, bound, max_enum=max_enum), unit_game(), FiniteSet([r0]),
+    return _deal_sim(p, bang(p, bound), unit_game(), FiniteSet([r0]),
                      {r0: star()}, lambda r, a: [], lambda r, letters: star(), lambda e: (),
                      lambda r, nexts, of: r)
 
 
-def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+@_charged
+def comul_sim(p: Game, bound: int) -> Simulation:
     """Duplicate: deal the copies into two pools, every deal witnessed.
 
     A witness point is a position, plus a tag vector saying for each slot of
@@ -547,12 +517,11 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
     the successor deal tags the successor copies the way their originators
     were tagged.
     """
-    src = bang(p, bound, max_enum=max_enum)
+    src = bang(p, bound)
     tags = (atom("1"), atom("2"))
-    budget = EnumBudget("comul_sim apex", max_enum)
-    apex = FiniteSet(
-        pair(m, tup(*ts)) for m in src.states for ts in budget.pi([tags] * len(m.items))
-    )
+    budget = _budget()
+    apex = FiniteSet(pair(m, tup(*ts)) for m in src.states
+                     for ts in budget.pi([tags] * len(m.items), "comul_sim apex"))
 
     def pools(r):
         dealt = tuple(zip(r.fst.items, r.snd.items))
@@ -572,11 +541,11 @@ def comul_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulati
                      lambda e: e.fst.items + e.snd.items, land)
 
 
-def dereliction_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+def dereliction_sim(p: Game, bound: int) -> Simulation:
     """Extract a single copy: replay game -> p over the singleton positions."""
     if bound < 1:
         raise ValueError("dereliction needs at least one copy")
-    src = bang(p, bound, max_enum=max_enum)
+    src = bang(p, bound)
     apex = FiniteSet(pair(mset([i]), i) for i in p.states)
     return _deal_sim(p, src, p, apex, {r: r.snd for r in apex}, lambda r, a: [[0]],
                      lambda r, letters: letters[0][0].snd, lambda d: (d,),
@@ -590,7 +559,8 @@ def _flatten(m_of_msets: Element) -> Element:
     return mset(out)
 
 
-def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+@_charged
+def digging_sim(p: Game, bound: int) -> Simulation:
     """Iterate: replay game -> replay of the replay game.
 
     A witness holds a pool of copies together with a way to parcel it into at
@@ -600,8 +570,8 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
     word, empty groups last.  So extracting after digging reads the move word
     back in its own order, and both counit laws hold on the nose.
     """
-    src = bang(p, bound, max_enum=max_enum)
-    dst = bang(src, bound, max_enum=max_enum)
+    src = bang(p, bound)
+    dst = bang(src, bound)
     apex = FiniteSet(
         pair(m, big) for big in dst.states if (m := _flatten(big)) in src.states
     )
@@ -628,12 +598,13 @@ def digging_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simula
                      lambda e: [d for sub in e.items for d in sub.items], land)
 
 
-def deriving_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+@_charged
+def deriving_sim(p: Game, bound: int) -> Simulation:
     """Prepend a fresh copy: p (x) (bound-1 replays) -> bound replays."""
     if bound < 1:
         raise ValueError("deriving needs at least one copy")
-    src = tensor(p, bang(p, bound - 1, max_enum=max_enum))
-    dst = bang(p, bound, max_enum=max_enum)
+    src = tensor(p, bang(p, bound - 1))
+    dst = bang(p, bound)
 
     def point(i):  # the witness over a state pair(copy, pool) of src
         return pair(i, mset((i.fst,) + i.snd.items))
@@ -647,23 +618,20 @@ def deriving_sim(p: Game, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simul
         d = pair(e.items[0], tup(*e.items[1:]))
         return d, point(src.next[(r.fst, a, d)])
 
-    return _transport_sim(
-        src, dst, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex}, move, back
-    )
+    return _transport_sim(src, dst, apex, {r: r.fst for r in apex}, {r: r.snd for r in apex},
+                          move, back)
 
 
-def bang_sim(u: Simulation, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+@_charged
+def bang_sim(u: Simulation, bound: int) -> Simulation:
     """Promote a simulation to pools of copies (the replay action on maps).
 
     The apex holds multisets of u's witnesses; a move word is matched to the
     witnesses by the canonical permutation aligning the source positions,
     then u translates copy-wise.
     """
-    src = bang(u.src, bound, max_enum=max_enum)
-    dst = bang(u.dst, bound, max_enum=max_enum)
-    count = comb(len(u.apex) + bound, bound)  # multisets of size <= bound
-    if count > max_enum:
-        raise SizeRefused("bang_sim apex", count, max_enum)
+    src, dst = bang(u.src, bound), bang(u.dst, bound)
+    _budget().charge(comb(len(u.apex) + bound, bound), "bang_sim apex")  # the multisets below
     apexes = all_msets_upto(FiniteSet(u.apex), bound)
 
     def move(rho, a):
@@ -675,12 +643,6 @@ def bang_sim(u: Simulation, bound: int, max_enum: int = DEFAULT_MAX_ENUM) -> Sim
         keys = [(w, x, d) for (w, x), d in zip(copies, e.items)]
         return tup(*(u.beta[k] for k in keys)), mset(u.gamma[k] for k in keys)
 
-    return _transport_sim(
-        src,
-        dst,
-        apexes,
-        {rho: mset(u.leg1[r] for r in rho.items) for rho in apexes},
-        {rho: mset(u.leg2[r] for r in rho.items) for rho in apexes},
-        move,
-        back,
-    )
+    return _transport_sim(src, dst, apexes,
+                          {rho: mset(u.leg1[r] for r in rho.items) for rho in apexes},
+                          {rho: mset(u.leg2[r] for r in rho.items) for rho in apexes}, move, back)

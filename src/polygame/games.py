@@ -30,7 +30,6 @@ sharing off; equality of games stays structural.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import weakref
 from collections import Counter
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .elements import Element, FiniteSet, fun, pair
-from .limits import DEFAULT_MAX_ENUM, EnumBudget, SearchRefused
+from .limits import SearchRefused, _budget, _charged
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,8 @@ def _build_game(states, row) -> Game:
     return Game(FiniteSet(seen), moves, counters, nxt)
 
 
-# call key -> (weak refs to the call's game arguments, weak ref to its result)
+# call key -> (weak refs to the call's game arguments, weak ref to its result,
+# what its build charged)
 _SHARED: dict = {}
 
 
@@ -98,45 +98,46 @@ def _shared(build):
     """Share the result of the pure game builder ``build`` while it is held.
 
     A call is keyed on the builder, the identity of each game argument and the
-    value of every other parameter, defaults filled in, so ``bang(p, 2)`` and
-    ``bang(p, 2, max_enum=DEFAULT_MAX_ENUM)`` are one entry.  An entry holds
-    only weak references to its games, and the first of them (argument or
-    result) to die drops it.  So the table keeps no game alive, a refused build
-    stores nothing (a repeat refuses the same way), and a fresh process costs
-    what a warm one does.
+    value of every other parameter, so ``bang(p, 2)`` and ``bang(p, bound=2)``
+    are one entry.  An entry holds only weak references to its games, and the
+    first of them (argument or result) to die drops it.  So the table keeps no
+    game alive, a refused build stores nothing (a repeat refuses the same way),
+    and a fresh process costs what a warm one does.  A call charges the budget
+    of the construction running, or opens one (:func:`~polygame.limits._charged`);
+    a hit charges what its build did, and rebuilds if that would not fit, so a
+    held result refuses as a fresh build does.
     """
-    params = inspect.signature(build).parameters
-    names = tuple(params)
-    defaults = {n: p.default for n, p in params.items() if p.default is not p.empty}
+    names = build.__code__.co_varnames[:build.__code__.co_argcount]
 
-    @functools.wraps(build)
     def shared(*args, **kwargs):
-        if kwargs or len(args) != len(names):
-            rest = names[len(args):]
-            # each keyword names a parameter still open, each of which is given
-            # or has a default; any other call is malformed, and Python says why
-            if not kwargs.keys() <= set(rest) <= kwargs.keys() | defaults.keys():
+        if kwargs:  # they must name every parameter left; else Python says what is wrong
+            if kwargs.keys() != set(names[len(args):]):
                 return build(*args, **kwargs)
-            args += tuple(kwargs[n] if n in kwargs else defaults[n] for n in rest)
+            args += tuple(kwargs[n] for n in names[len(args):])
+        budget = _budget()
         games = [a for a in args if isinstance(a, Game)]
         key = (build, *(id(a) if isinstance(a, Game) else a for a in args))
         try:
-            refs, out = _SHARED[key]
+            refs, out, cost = _SHARED[key]
         except KeyError:
             pass
         except TypeError:  # an unhashable argument
             return build(*args)
         else:
             g = out()
-            if g is not None and all(r() is a for r, a in zip(refs, games)):
+            if (g is not None and all(r() is a for r, a in zip(refs, games))
+                    and budget.used + cost <= budget.ceiling):
+                budget.used += cost
                 return g
+        used = budget.used
         g = build(*args)
         pop = _SHARED.pop  # bound now: the callback may run at interpreter exit
         drop = lambda _: pop(key, None)  # noqa: E731 - one callback per entry
-        _SHARED[key] = ([weakref.ref(a, drop) for a in games], weakref.ref(g, drop))
+        _SHARED[key] = ([weakref.ref(a, drop) for a in games], weakref.ref(g, drop),
+                        budget.used - used)
         return g
 
-    return shared
+    return functools.wraps(build)(_charged(shared))
 
 
 def _show(k) -> str:
@@ -210,6 +211,7 @@ def validate_family(x: FamilySet) -> list[str]:
     return problems
 
 
+@_charged
 def extend(g: Game, x: FamilySet) -> FamilySet:
     """The one-step extension of a family along a game.
 
@@ -222,17 +224,17 @@ def extend(g: Game, x: FamilySet) -> FamilySet:
                               prod over counters d of |x(i[a/d])|
 
     which is the invariant the tests pin against an independent count.
-    Extensions past the default enumeration ceiling are refused.
+    Extensions past the enumeration ceiling are refused.
     """
     if x.base != g.states:
         raise ValueError("family base must be the game's states")
-    budget = EnumBudget("extend", DEFAULT_MAX_ENUM)
+    budget = _budget()
     fibers = {}
     for i in g.states:
         entries = []
         for a in g.moves[i]:
             ds = g.counters[(i, a)].items
-            for choice in budget.pi(x.fibers[g.next[(i, a, d)]] for d in ds):
+            for choice in budget.pi((x.fibers[g.next[(i, a, d)]] for d in ds), "extend"):
                 entries.append(pair(a, fun(zip(ds, choice))))
         fibers[i] = FiniteSet(entries)
     return FamilySet(base=g.states, fibers=fibers)

@@ -8,9 +8,10 @@ back to P2-counters; the opponent then picks a P2-move and a P3-counter.
 Negation is the hom into the unit, materialised directly as the game of
 counter-choices.
 
-Both the hom and negation enumerate genuinely large fibers, so both take an
-enumeration ceiling and refuse (:class:`~polygame.limits.SizeRefused`) rather
-than truncate.  A move fiber of the hom is the dependent product, over the
+Both the hom and negation enumerate genuinely large fibers, so both charge
+the enumeration budget of the call and refuse
+(:class:`~polygame.limits.SizeRefused`) past its ceiling rather than
+truncate.  A move fiber of the hom is the dependent product, over the
 P2-moves a2, of the pool of pairs (a3, a pull-back of a3's counters to a2's);
 each pull-back pool is itself a product.  Both go through
 :meth:`~polygame.limits.EnumBudget.pi`, which charges the exact size before
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from .elements import Element, FiniteSet, fun, pair, star
 from .games import Game, _build_game, _shared
-from .limits import DEFAULT_MAX_ENUM, EnumBudget
+from .limits import _budget
 from .simulation import Simulation, _relabel_sim, _transport_sim, identity_sim
 from .fixtures import unit_game
 
@@ -128,7 +129,7 @@ def structural_iso(kind: str, *games: Game) -> Simulation:
 
 
 @_shared
-def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
+def lollipop(p2: Game, p3: Game) -> Game:
     """The game of translations of P2 into P3.
 
     A state is a pair of states.  A move at (i2, i3) is pair(f, phi): f sends
@@ -136,12 +137,14 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     f(a2) back to a P2-counter to a2.  The opponent answers with pair(a2, d3)
     -- a P2-move plus a P3-counter -- and both components advance.
     """
-    budget = EnumBudget("lollipop", max_enum)
-    factors = {pair(i2, i3): (i2, i3) for i2, i3 in budget.pi([p2.states, p3.states])}
+    budget = _budget()
+    factors = {pair(i2, i3): (i2, i3)
+               for i2, i3 in budget.pi([p2.states, p3.states], "lollipop")}
 
     def pullbacks(i2, a2, i3, a3):  # the maps from a3's counters to a2's
         d3s = p3.counters[(i3, a3)].items
-        return [fun(zip(d3s, back)) for back in budget.pi([p2.counters[(i2, a2)]] * len(d3s))]
+        return [fun(zip(d3s, back))
+                for back in budget.pi([p2.counters[(i2, a2)]] * len(d3s), "lollipop")]
 
     def row(i):
         i2, i3 = factors[i]
@@ -150,7 +153,7 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
             [(a3, phi) for a3 in p3.moves[i3] for phi in pullbacks(i2, a2, i3, a3)]
             for a2 in a2s
         ]
-        for section in budget.pi(pools):
+        for section in budget.pi(pools, "lollipop"):
             ds, js = [], []
             for a2, (a3, phi) in zip(a2s, section):
                 for d3 in p3.counters[(i3, a3)]:
@@ -162,7 +165,7 @@ def lollipop(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     return _build_game(factors, row)
 
 
-def curry(s: Simulation, p1: Game, p2: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+def curry(s: Simulation, p1: Game, p2: Game) -> Simulation:
     """Transpose s: P1 (x) P2 -> P3 into P1 -> (P2 -o P3).
 
     The apex is untouched; the two factor games must be supplied because the
@@ -171,7 +174,7 @@ def curry(s: Simulation, p1: Game, p2: Game, max_enum: int = DEFAULT_MAX_ENUM) -
     if s.src != tensor(p1, p2):
         raise ValueError("curry: src is not the tensor of the given factors")
     p3 = s.dst
-    ell = lollipop(p2, p3, max_enum=max_enum)
+    ell = lollipop(p2, p3)
 
     def move(r, a1):
         f_graph = []
@@ -189,15 +192,8 @@ def curry(s: Simulation, p1: Game, p2: Game, max_enum: int = DEFAULT_MAX_ENUM) -
         k = (r, pair(a1, d.fst), d.snd)
         return s.beta[k].fst, s.gamma[k]
 
-    return _transport_sim(
-        p1,
-        ell,
-        s.apex,
-        {r: s.leg1[r].fst for r in s.apex},
-        {r: pair(s.leg1[r].snd, s.leg2[r]) for r in s.apex},
-        move,
-        back,
-    )
+    return _transport_sim(p1, ell, s.apex, {r: s.leg1[r].fst for r in s.apex},
+                          {r: pair(s.leg1[r].snd, s.leg2[r]) for r in s.apex}, move, back)
 
 
 def uncurry(s: Simulation, p1: Game, p2: Game, p3: Game) -> Simulation:
@@ -219,20 +215,14 @@ def uncurry(s: Simulation, p1: Game, p2: Game, p3: Game) -> Simulation:
         k = (r, a.fst, pair(a.snd, d3))
         return pair(s.beta[k], inner.apply(d3)), s.gamma[k]
 
-    return _transport_sim(
-        tensor(p1, p2),
-        p3,
-        s.apex,
-        {r: pair(s.leg1[r], s.leg2[r].fst) for r in s.apex},
-        {r: s.leg2[r].snd for r in s.apex},
-        move,
-        back,
-    )
+    return _transport_sim(tensor(p1, p2), p3, s.apex,
+                          {r: pair(s.leg1[r], s.leg2[r].fst) for r in s.apex},
+                          {r: s.leg2[r].snd for r in s.apex}, move, back)
 
 
-def eval_sim(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation:
+def eval_sim(p2: Game, p3: Game) -> Simulation:
     """Application: (P2 -o P3) (x) P2 -> P3, the uncurried identity."""
-    ell = lollipop(p2, p3, max_enum=max_enum)
+    ell = lollipop(p2, p3)
     return uncurry(identity_sim(ell), ell, p2, p3)
 
 
@@ -240,7 +230,7 @@ def eval_sim(p2: Game, p3: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Simulation
 
 
 @_shared
-def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
+def dual(p: Game) -> Game:
     """The negation of a game: players swap roles.
 
     A move at i is a *choice function* picking one counter for every original
@@ -250,11 +240,11 @@ def dual(p: Game, max_enum: int = DEFAULT_MAX_ENUM) -> Game:
     involutive: negating twice yields choice-functions-over-choice-functions,
     a different (and generally bigger) carrier.
     """
-    budget = EnumBudget("dual", max_enum)
+    budget = _budget()
 
     def row(i):
         a_s = p.moves[i].items
-        for choice in budget.pi(p.counters[(i, a)] for a in a_s):
+        for choice in budget.pi((p.counters[(i, a)] for a in a_s), "dual"):
             yield fun(zip(a_s, choice)), a_s, [p.next[(i, a, d)] for a, d in zip(a_s, choice)]
 
     return _build_game(p.states, row)

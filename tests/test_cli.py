@@ -247,22 +247,27 @@ def test_thirty_copies_are_refused_at_once(args):
 
 
 def test_factoring_through_ten_copies_is_refused_at_once(tmp_path):
-    # ten copies have 10! reshuffles, each needing a witness
+    # ten copies have 10! reshuffles, each needing a witness, charged after
+    # the 3 of the ordered power
     ident = write(tmp_path, "id.json", "simulation", identity_sim(tensor_power(UNIT, 10)))
     start = time.perf_counter()
     res = invoke("factor-power", ident, "unit", "--copies", "10")
     assert time.perf_counter() - start < 1.0
     assert res.exit_code == EXIT_REFUSED and res.stdout == ""
-    assert res.stderr == "all_perms (cumulative): would enumerate 3628800 objects (ceiling 10000)\n"
+    assert res.stderr == "all_perms (cumulative): would enumerate 3628803 objects (ceiling 10000)\n"
 
 
 def test_factoring_through_eight_copies_follows_max_enum(tmp_path):
-    # the 8! = 40320 reshuffles are charged to --max-enum, not to the default
+    # the 8! = 40320 reshuffles are charged to --max-enum, not to the default,
+    # in one total with the ordered power (3) and the power (4) they compare
     ident = write(tmp_path, "id8.json", "simulation", identity_sim(tensor_power(UNIT, 8)))
     refused = invoke("factor-power", ident, "unit", "--copies", "8")
     assert refused.exit_code == EXIT_REFUSED and refused.stdout == ""
-    assert refused.stderr == "all_perms (cumulative): would enumerate 40320 objects (ceiling 10000)\n"
-    res = invoke("factor-power", ident, "unit", "--copies", "8", "--max-enum", "100000")
+    assert refused.stderr == "all_perms (cumulative): would enumerate 40323 objects (ceiling 10000)\n"
+    short = invoke("factor-power", ident, "unit", "--copies", "8", "--max-enum", "40326")
+    assert short.exit_code == EXIT_REFUSED and short.stdout == ""
+    assert short.stderr == "power (cumulative): would enumerate 40327 objects (ceiling 40326)\n"
+    res = invoke("factor-power", ident, "unit", "--copies", "8", "--max-enum", "40327")
     assert res.exit_code == 0, res.stderr
     (tmp_path / "f8.json").write_text(res.stdout)
     checked = invoke("check-sim", str(tmp_path / "f8.json"))

@@ -41,7 +41,7 @@ from polygame.games import validate_game
 from polygame.laws import (
     random_game, random_simulation, run_suite, symmetrize_over_power, symmetrize_span,
 )
-from polygame.limits import EnumBudget, SizeRefused
+from polygame.limits import SizeRefused, _budget, _charged, ceiling
 from polygame.monoidal import dual, lollipop, tensor
 from polygame.simulation import (
     add,
@@ -278,9 +278,10 @@ def test_bang_sim_refuses_before_enumerating(monkeypatch):
     u = identity_sim(UNIT)
     for _ in range(3):
         u = add(u, u)  # 8 parallel witnesses, so 165 multisets of at most 3
-    with pytest.raises(SizeRefused) as refused:
-        bang_sim(u, 3, max_enum=100)
-    assert (refused.value.what, refused.value.count) == ("bang_sim apex", 165)
+    # the two bangs of UNIT charge 16 each, then the apex 165 more
+    with ceiling(100), pytest.raises(SizeRefused) as refused:
+        bang_sim(u, 3)
+    assert (refused.value.what, refused.value.count) == ("bang_sim apex (cumulative)", 197)
 
 
 def test_comul_sim_refuses_its_apex_before_building_it(monkeypatch):
@@ -297,13 +298,30 @@ def test_comul_sim_refuses_its_apex_before_building_it(monkeypatch):
 
     real_bang, real_pair = exponential.bang, exponential.pair
     monkeypatch.setattr(exponential, "bang", bang_then_count)
-    # bang(UNIT, 6) has one state of each size k <= 6, dealt 2**k ways: 127
-    # points; the deals of sizes up to 5 (63 points) fit under the ceiling,
-    # and the 64 of size 6 are refused before any of them is built
-    with pytest.raises(SizeRefused) as refused:
-        comul_sim(UNIT, 6, max_enum=100)
-    assert str(refused.value) == "comul_sim apex (cumulative): would enumerate 127 objects (ceiling 100)"
+    # bang(UNIT, 6) charges 28 and has one state of each size k <= 6, dealt
+    # 2**k ways: 127 points; the deals of sizes up to 5 (63 points) fit under
+    # the ceiling with the bang, and the 64 of size 6 are refused before any
+    # of them is built
+    with ceiling(100), pytest.raises(SizeRefused) as refused:
+        comul_sim(UNIT, 6)
+    assert str(refused.value) == "comul_sim apex (cumulative): would enumerate 155 objects (ceiling 100)"
     assert len(built) == 63
+
+
+def test_digging_charges_both_its_bangs_to_one_budget():
+    # bang(COIN, 2) charges 41 and the bang of that 591: 632 in all, the same
+    # whether the two bangs are built or held
+    def refusal():
+        with ceiling(631), pytest.raises(SizeRefused) as refused:
+            digging_sim(COIN, 2)
+        with ceiling(632):
+            digging_sim(COIN, 2)
+        return str(refused.value)
+
+    cold = refusal()
+    b = bang(COIN, 2)
+    held = [b, bang(b, 2)]  # noqa: F841 - held so that digging shares them
+    assert refusal() == cold == "bang (cumulative): would enumerate 632 objects (ceiling 631)"
 
 
 def test_enumeration_budget_is_cumulative():
@@ -313,15 +331,17 @@ def test_enumeration_budget_is_cumulative():
     with pytest.raises(SizeRefused):
         tensor_power(COIN, 12)
     # and an explicit ceiling is honored
-    with pytest.raises(SizeRefused):
-        bang(COIN, 2, max_enum=5)
+    with ceiling(5), pytest.raises(SizeRefused):
+        bang(COIN, 2)
 
 
 def test_bang_charges_one_budget_across_its_powers():
     # the powers 0..3 of COIN charge 4 + 10 + 27 + 84 = 125 objects in all
-    with pytest.raises(SizeRefused):
-        bang(COIN, 3, max_enum=84)
-    assert bang(COIN, 3, max_enum=125) == bang(COIN, 3)
+    with ceiling(84), pytest.raises(SizeRefused):
+        bang(COIN, 3)
+    with ceiling(125):
+        capped = bang(COIN, 3)
+    assert capped == bang(COIN, 3)
 
 
 @pytest.mark.parametrize("build, seconds, message", [
@@ -345,9 +365,10 @@ def test_all_perms_charges_k_factorial_before_listing():
     with pytest.raises(SizeRefused) as refused:
         all_perms(8)
     assert str(refused.value) == "all_perms (cumulative): would enumerate 40320 objects (ceiling 10000)"
-    assert len(all_perms(8, 40320)) == 40320
-    with pytest.raises(SizeRefused):
-        all_perms(3, 5)
+    with ceiling(40320):
+        assert len(all_perms(8)) == 40320
+    with ceiling(5), pytest.raises(SizeRefused):
+        all_perms(3)
     # the reshuffle witnesses of a one-letter span of length 9 would need 9! bijections
     one = FiniteSet([atom("a")])
     start = time.perf_counter()
@@ -358,44 +379,51 @@ def test_all_perms_charges_k_factorial_before_listing():
 
 def test_distinct_arrangements_are_the_sorted_distinct_permutations():
     a, b, c = atom("a"), atom("b"), atom("c")
-    budget = EnumBudget("arrangements", 10**6)
+
+    @_charged
+    def arrange(m):  # the arrangements, and what listing them charged
+        before = _budget().used
+        return list(exponential._distinct_arrangements(m, "arrangements")), _budget().used - before
+
     for items in [(), (a,), (a, a), (a, b), (a, a, b), (a, b, b, c), (a, a, b, b, c, c)]:
         m = mset(items)
-        charged = budget.used
-        arrangements = list(exponential._distinct_arrangements(m, budget))
+        arrangements, charged = arrange(m)
         assert arrangements == sorted(set(itertools.permutations(m.items)))
-        assert budget.used - charged == len(arrangements)
+        assert charged == len(arrangements)
 
 
 # Each builder's refusal below its total (and at half of it), word for word:
 # the running total a message names depends on the order of the charges.
+# The arguments are built outside the ceiling.
 REFUSALS = [
-    (lambda m: bang(COIN, 3, max_enum=m), {
+    (bang, lambda: (COIN, 3), {
         124: "bang (cumulative): would enumerate 125 objects (ceiling 124)",
         62: "bang (cumulative): would enumerate 67 objects (ceiling 62)"}),
-    (lambda m: power_game(COIN, 3, max_enum=m), {
+    (power_game, lambda: (COIN, 3), {
         83: "power (cumulative): would enumerate 84 objects (ceiling 83)",
         42: "power (cumulative): would enumerate 44 objects (ceiling 42)"}),
-    (lambda m: tensor_power(TRAP, 3, max_enum=m), {
+    (tensor_power, lambda: (TRAP, 3), {
         16: "tensor_power (cumulative): would enumerate 17 objects (ceiling 16)",
         8: "tensor_power (cumulative): would enumerate 9 objects (ceiling 8)"}),
-    (lambda m: lollipop(COIN, TRAP, max_enum=m), {
+    (lollipop, lambda: (COIN, TRAP), {
         19: "lollipop (cumulative): would enumerate 20 objects (ceiling 19)",
         10: "lollipop (cumulative): would enumerate 12 objects (ceiling 10)"}),
-    (lambda m: dual(tensor(COIN, TRAP), max_enum=m), {
+    (dual, lambda: (tensor(COIN, TRAP),), {
         9: "dual (cumulative): would enumerate 10 objects (ceiling 9)",
         5: "dual (cumulative): would enumerate 6 objects (ceiling 5)"}),
 ]
 
 
-@pytest.mark.parametrize("build, messages", REFUSALS,
+@pytest.mark.parametrize("build, arguments, messages", REFUSALS,
                          ids=["bang", "power_game", "tensor_power", "lollipop", "dual"])
-def test_refusal_messages_are_pinned(build, messages):
-    for ceiling, message in messages.items():
-        with pytest.raises(SizeRefused) as refused:
-            build(ceiling)
+def test_refusal_messages_are_pinned(build, arguments, messages):
+    args = arguments()
+    for m, message in messages.items():
+        with ceiling(m), pytest.raises(SizeRefused) as refused:
+            build(*args)
         assert str(refused.value) == message
-    build(max(messages) + 1)  # the total itself is accepted
+    with ceiling(max(messages) + 1):
+        build(*args)  # the total itself is accepted
 
 
 def test_transport_square_is_pullback():

@@ -1,5 +1,7 @@
 """The enumeration budget: its one dependent-product enumerator, and what
-every builder charges, graded against the plain-arithmetic totals."""
+every builder charges, graded against the plain-arithmetic totals.  A
+composite charges one budget for all the builds it makes, so its smallest
+accepted ceiling is the sum of theirs."""
 
 import random
 
@@ -8,9 +10,11 @@ import hypothesis.strategies as strat
 import pytest
 
 from polygame.elements import atom
-from polygame.exponential import bang, power_game, tensor_power
+from polygame.exponential import (
+    bang, chat, comul_sim, dereliction_sim, digging_sim, power_game, tensor_power
+)
 from polygame.laws import random_game
-from polygame.limits import EnumBudget, SizeRefused
+from polygame.limits import EnumBudget, SizeRefused, ceiling
 from polygame.monoidal import dual, lollipop
 
 from conftest import bang_total, dual_total, lollipop_total, power_total, tensor_power_total
@@ -18,30 +22,30 @@ from conftest import bang_total, dual_total, lollipop_total, power_total, tensor
 
 def test_pi_yields_the_sections_in_lexicographic_order_and_charges_them():
     a, b, x, y, z = map(atom, "abxyz")
-    budget = EnumBudget("pi", 100)
-    sections = list(budget.pi([(a, b), (x, y, z)]))
+    budget = EnumBudget(100)
+    sections = list(budget.pi([(a, b), (x, y, z)], "pi"))
     assert sections == [(a, x), (a, y), (a, z), (b, x), (b, y), (b, z)]
     assert budget.used == 6
-    budget.pi(iter([(a, b)] * 3))  # a one-shot family is read once
+    budget.pi(iter([(a, b)] * 3), "pi")  # a one-shot family is read once
     assert budget.used == 6 + 8
 
 
 def test_pi_of_an_empty_family_is_the_one_empty_section():
-    budget = EnumBudget("pi", 1)
-    assert list(budget.pi([])) == [()]
+    budget = EnumBudget(1)
+    assert list(budget.pi([], "pi")) == [()]
     assert budget.used == 1
 
 
 def test_pi_with_an_empty_pool_has_no_sections():
-    budget = EnumBudget("pi", 0)
-    assert list(budget.pi([(atom("a"),), ()])) == []
+    budget = EnumBudget(0)
+    assert list(budget.pi([(atom("a"),), ()], "pi")) == []
     assert budget.used == 0
 
 
 def test_pi_charges_before_it_yields():
-    budget = EnumBudget("pi", 7)
+    budget = EnumBudget(7)
     with pytest.raises(SizeRefused) as refused:
-        budget.pi([(atom("a"), atom("b"))] * 3)
+        budget.pi([(atom("a"), atom("b"))] * 3, "pi")
     assert str(refused.value) == "pi (cumulative): would enumerate 8 objects (ceiling 7)"
 
 
@@ -52,11 +56,16 @@ def games(n: int):
     )
 
 
-def refuses_below_and_accepts_at(build, total: int) -> None:
-    with pytest.raises(SizeRefused) as refused:
-        build(total - 1)
+def refuses_below_and_accepts_at(build, total: int) -> str:
+    """Check that ``build()`` refuses under ``ceiling(total - 1)``, having
+    reached ``total``, and is accepted under ``ceiling(total)``; return the
+    refusal's text."""
+    with ceiling(total - 1), pytest.raises(SizeRefused) as refused:
+        build()
     assert refused.value.count == total
-    build(total)
+    with ceiling(total):
+        build()
+    return str(refused.value)
 
 
 SETTINGS = hypothesis.settings(max_examples=25, deadline=None)
@@ -66,32 +75,57 @@ SETTINGS = hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(games(2))
 def test_lollipop_charges_the_arithmetic_total(gs):
     p2, p3 = gs
-    refuses_below_and_accepts_at(lambda m: lollipop(p2, p3, max_enum=m), lollipop_total(p2, p3))
+    refuses_below_and_accepts_at(lambda: lollipop(p2, p3), lollipop_total(p2, p3))
 
 
 @SETTINGS
 @hypothesis.given(games(1))
 def test_dual_charges_the_arithmetic_total(gs):
     (p,) = gs
-    refuses_below_and_accepts_at(lambda m: dual(p, max_enum=m), dual_total(p))
+    refuses_below_and_accepts_at(lambda: dual(p), dual_total(p))
 
 
 @SETTINGS
 @hypothesis.given(games(1), strat.integers(0, 3))
 def test_tensor_power_charges_the_arithmetic_total(gs, k):
     (p,) = gs
-    refuses_below_and_accepts_at(lambda m: tensor_power(p, k, max_enum=m), tensor_power_total(p, k))
+    refuses_below_and_accepts_at(lambda: tensor_power(p, k), tensor_power_total(p, k))
 
 
 @SETTINGS
 @hypothesis.given(games(1), strat.integers(0, 3))
 def test_power_game_charges_the_arithmetic_total(gs, k):
     (p,) = gs
-    refuses_below_and_accepts_at(lambda m: power_game(p, k, max_enum=m), power_total(p, k))
+    refuses_below_and_accepts_at(lambda: power_game(p, k), power_total(p, k))
 
 
 @SETTINGS
 @hypothesis.given(games(1), strat.integers(0, 2))
 def test_bang_charges_the_arithmetic_total(gs, bound):
     (p,) = gs
-    refuses_below_and_accepts_at(lambda m: bang(p, bound, max_enum=m), bang_total(p, bound))
+    refuses_below_and_accepts_at(lambda: bang(p, bound), bang_total(p, bound))
+
+
+# each composite, the builds it makes, and the sum of their oracle totals
+# (plus, for comul_sim, its apex: 2^|m| tag vectors per state m of its bang)
+COMPOSITES = {
+    "dereliction_sim": (dereliction_sim, lambda p, n: [bang(p, n)],
+                        lambda p, n: bang_total(p, n)),
+    "digging_sim": (digging_sim, lambda p, n: [bang(p, n), bang(bang(p, n), n)],
+                    lambda p, n: bang_total(p, n) + bang_total(bang(p, n), n)),
+    "chat": (chat, lambda p, n: [power_game(p, n), tensor_power(p, n)],
+             lambda p, n: power_total(p, n) + tensor_power_total(p, n)),
+    "comul_sim": (comul_sim, lambda p, n: [bang(p, n)],
+                  lambda p, n: bang_total(p, n)
+                  + sum(2 ** len(m.items) for m in bang(p, n).states)),
+}
+
+
+@SETTINGS
+@hypothesis.given(games(1), strat.integers(1, 2), strat.sampled_from(sorted(COMPOSITES)))
+def test_a_composite_charges_all_its_builds_to_one_budget(gs, n, name):
+    (p,) = gs
+    make, builds, total = COMPOSITES[name]
+    cold = refuses_below_and_accepts_at(lambda: make(p, n), total(p, n))
+    held = builds(p, n)  # noqa: F841 - held so that the composite's builds are shared
+    assert refuses_below_and_accepts_at(lambda: make(p, n), total(p, n)) == cold

@@ -26,7 +26,8 @@ HOMES = {
               "from_symmetric_game", "make_game", "validate_family", "validate_game",
               "validate_state_span"],
     "fixtures": ["ALL_FIXTURES", "COIN", "EMPTY", "ONEWAY", "TRAP", "UNIT", "unit_game"],
-    "limits": ["DEFAULT_MAX_ENUM", "DEFAULT_SEARCH_BOUND", "SearchRefused", "SizeRefused"],
+    "limits": ["DEFAULT_MAX_ENUM", "DEFAULT_SEARCH_BOUND", "SearchRefused", "SizeRefused",
+               "ceiling"],
     "simulation": ["Simulation", "Span", "SpanIso", "add", "check_simulation", "compose",
                    "equivalent", "identity_sim", "span_compose", "span_embedding",
                    "span_equal", "span_identity", "span_iso", "underlying_span",
@@ -79,7 +80,7 @@ def test_cli_import_leaves_the_builders_unloaded():
 
 def test_all_lists_the_public_names_in_order():
     assert polygame.__all__ == PUBLIC
-    assert len(PUBLIC) == 101
+    assert len(PUBLIC) == 102
 
 
 @pytest.mark.parametrize("module", HOMES)

@@ -11,39 +11,38 @@ from polygame.additive import oplus
 from polygame.exponential import bang, power_game, tensor_power
 from polygame.fixtures import COIN, TRAP, UNIT, unit_game
 from polygame.laws import SUITES, failing, random_game, run_suite
-from polygame.limits import DEFAULT_MAX_ENUM, SizeRefused
+from polygame.limits import DEFAULT_MAX_ENUM, SizeRefused, ceiling
 from polygame.monoidal import dual, lollipop, tensor
 
 from conftest import bang_total
 
-D = DEFAULT_MAX_ENUM
-
 
 # each builder with several spellings of one call: by position, by keyword,
-# with and without the default ceiling
+# and under the default ceiling set explicitly
 @pytest.mark.parametrize("build, spellings", [
     (tensor, [((COIN, TRAP), {}), ((), {"p1": COIN, "p2": TRAP}), ((COIN,), {"p2": TRAP})]),
     (oplus, [((COIN, TRAP), {}), ((), {"p2": TRAP, "p1": COIN})]),
-    (lollipop, [((COIN, UNIT), {}), ((COIN, UNIT, D), {}), ((COIN, UNIT), {"max_enum": D}),
-                ((), {"p3": UNIT, "p2": COIN})]),
-    (dual, [((TRAP,), {}), ((TRAP, D), {}), ((), {"p": TRAP, "max_enum": D})]),
-    (tensor_power, [((COIN, 2), {}), ((COIN,), {"k": 2}), ((COIN, 2), {"max_enum": D})]),
-    (power_game, [((COIN, 2), {}), ((COIN, 2, D), {}), ((), {"k": 2, "p": COIN})]),
-    (bang, [((COIN, 2), {}), ((COIN, 2), {"max_enum": D}), ((COIN,), {"bound": 2})]),
+    (lollipop, [((COIN, UNIT), {}), ((COIN,), {"p3": UNIT}), ((), {"p3": UNIT, "p2": COIN})]),
+    (dual, [((TRAP,), {}), ((), {"p": TRAP})]),
+    (tensor_power, [((COIN, 2), {}), ((COIN,), {"k": 2})]),
+    (power_game, [((COIN, 2), {}), ((), {"k": 2, "p": COIN})]),
+    (bang, [((COIN, 2), {}), ((COIN,), {"bound": 2})]),
 ], ids=lambda x: getattr(x, "__name__", ""))
 def test_repeated_calls_return_the_same_game_however_spelled(build, spellings):
     first = build(*spellings[0][0], **spellings[0][1])
     for args, kwargs in spellings:
         assert build(*args, **kwargs) is first
+        with ceiling(DEFAULT_MAX_ENUM):
+            assert build(*args, **kwargs) is first
 
 
 def test_other_parameters_are_other_entries():
     b2 = bang(COIN, 2)
     b3 = bang(COIN, 3)
-    capped = bang(COIN, 2, max_enum=5000)
+    with ceiling(5000):
+        capped = bang(COIN, 2)
     assert b3 is not b2 and b3 != b2
-    assert capped is not b2 and capped == b2
-    assert bang(COIN, 2, max_enum=5000) is capped
+    assert capped is b2  # a ceiling is not a parameter of the build
     assert tensor(TRAP, COIN) is not tensor(COIN, TRAP)
 
 
@@ -59,7 +58,7 @@ def test_the_table_keeps_no_game_alive():
     g = random_game(random.Random(7))
     t = tensor(g, g)
     dead_t = weakref.ref(t)
-    keys = [k for k, (_, out) in games._SHARED.items() if out() is t]
+    keys = [k for k, (_, out, _) in games._SHARED.items() if out() is t]
     assert len(keys) == 1
     del g, t
     gc.collect()
@@ -70,7 +69,7 @@ def test_the_table_keeps_no_game_alive():
 def test_a_dead_argument_drops_the_entry_it_was_part_of():
     g = random_game(random.Random(8))
     t = tensor(COIN, g)
-    keys = [k for k, (_, out) in games._SHARED.items() if out() is t]
+    keys = [k for k, (_, out, _) in games._SHARED.items() if out() is t]
     del g
     gc.collect()
     assert keys and keys[0] not in games._SHARED
@@ -79,20 +78,25 @@ def test_a_dead_argument_drops_the_entry_it_was_part_of():
 
 def test_a_refused_build_stores_nothing_and_refuses_again():
     for _ in range(2):
-        with pytest.raises(SizeRefused) as refused:
-            bang(COIN, 6, max_enum=1000)
+        with ceiling(1000), pytest.raises(SizeRefused) as refused:
+            bang(COIN, 6)
         assert str(refused.value) == "bang (cumulative): would enumerate 1011 objects (ceiling 1000)"
-    assert (bang.__wrapped__, id(COIN), 6, 1000) not in games._SHARED
-    held = bang(COIN, 2, max_enum=1000)
-    assert (bang.__wrapped__, id(COIN), 2, 1000) in games._SHARED and held
+    assert (bang.__wrapped__, id(COIN), 6) not in games._SHARED
+    with ceiling(1000):
+        held = bang(COIN, 2)
+    assert (bang.__wrapped__, id(COIN), 2) in games._SHARED and held
 
 
 def test_a_held_build_does_not_lift_a_lower_ceiling():
     c = bang_total(COIN, 3)
+    with ceiling(c - 1), pytest.raises(SizeRefused) as cold:
+        bang(COIN, 3)
     held = bang(COIN, 3)
-    with pytest.raises(SizeRefused):
-        bang(COIN, 3, max_enum=c - 1)
-    assert bang(COIN, 3, max_enum=c) == held
+    with ceiling(c - 1), pytest.raises(SizeRefused) as warm:
+        bang(COIN, 3)
+    assert str(warm.value) == str(cold.value)
+    with ceiling(c):
+        assert bang(COIN, 3) is held
 
 
 def test_malformed_calls_fail_as_python_reports_them():
@@ -102,8 +106,8 @@ def test_malformed_calls_fail_as_python_reports_them():
         bang(COIN, 2, colour=1)
     with pytest.raises(TypeError, match="multiple values for argument 'p'"):
         dual(TRAP, p=TRAP)
-    with pytest.raises(TypeError, match="takes from 2 to 3 positional arguments but 4 were given"):
-        bang(COIN, 2, D, 1)
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+        bang(COIN, 2, 1)
 
 
 def test_the_unit_is_one_object():

@@ -365,3 +365,23 @@ def test_transpose_to_sim_refuses_a_span_off_its_sides(side, leg, stray):
     with pytest.raises(ValueError) as raised:
         adjoint_transpose(side, "to_sim", sp, base, COIN)
     assert str(raised.value) == f"invalid span: {leg}({r!r}) = {stray!r} is not in base"
+
+
+# a simulation is checked against the ends the transpose was asked for
+@pytest.mark.parametrize("side, run", [
+    ("left", "free_game(base) -> game"),
+    ("right", "game -> cofree_game(base)"),
+])
+def test_transpose_to_span_refuses_a_simulation_off_its_ends(side, run):
+    base = FiniteSet([atom("x")])
+    with pytest.raises(ValueError) as raised:
+        adjoint_transpose(side, "to_span", identity_sim(COIN), base, TRAP)
+    assert str(raised.value) == f"invalid simulation: it does not run {run}"
+    r, h = atom("r"), COIN.states.items[0]
+    legs = (base.items[0], h) if side == "left" else (h, base.items[0])
+    sides = (base, COIN.states) if side == "left" else (COIN.states, base)
+    sp = Span(*sides, FiniteSet([r]), {r: legs[0]}, {r: legs[1]})
+    s = adjoint_transpose(side, "to_sim", sp, base, COIN)
+    assert adjoint_transpose(side, "to_span", s, base, COIN) == sp
+    with pytest.raises(ValueError):
+        adjoint_transpose(side, "to_span", s, base, TRAP)
