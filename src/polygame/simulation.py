@@ -22,26 +22,33 @@ in ``span_only`` mode just the legs.
 The apex bookkeeping is written once here.  ``_fibers`` lists the apex over
 each pair of positions and ``_pair_fibers`` pairs fibers in order: span iso,
 embedding and equality, the leg check of :func:`equivalent`, and the
-reshuffle witnesses of the powers.  :func:`span_compose` is the one pullback,
-and :func:`compose` takes its apex.  ``_relabel_sim`` builds every simulation
-whose apex is its source's states: identities, injections, reshuffles and the
-tensor's coherence isomorphisms.  It takes two element maps, one relabelling
-the source's states and moves as the target's, one relabelling the target's
-counters as the source's; the inverse relabelling is the same two maps
-swapped.
+reshuffle witnesses of the powers.  ``_pullback`` is the one pullback, of
+:func:`span_compose` and of :func:`compose`.  ``_relabel_sim`` builds every
+simulation whose apex is its source's states: identities, injections,
+reshuffles and the tensor's coherence isomorphisms.  It takes two element
+maps, one relabelling the source's states and moves as the target's, one
+relabelling the target's counters as the source's; the inverse relabelling
+is the same two maps swapped.
 
-The transports are written once as well: ``_transport_sim`` walks a span's
-source moves and target counters and asks one callback for alpha, another for
-beta and gamma.  Every builder goes through it (README, "The model"), even
-``zero_sim`` and the transposes out of a free game, which have nothing to
-transport; the replay game's copy-dealing maps go by way of
-``exponential._deal_sim``.  The exceptions are the synthesised simulations,
-which come from the one extraction over the relation fixpoint's index
+The transports are written once as well: ``_transport_sim`` keeps a span
+and two callbacks, one for alpha and one for beta and gamma, and its tables
+write a row (an alpha entry and the beta and gamma entries under it) the first
+time a key of it is read.  So a composite asks its operands only at the points
+and moves it lands on, and a table nobody reads in full is never walked.  The
+first full read (iteration, ``len``, ``items``, ``==``, :func:`check_simulation`,
+:func:`equivalent`, a document dump) writes every row in the walk's canonical
+order, so tables read in full, and every output byte, are what a walk up front
+gives.  Every builder goes through it (README, "The model"), even ``zero_sim``
+and the transposes out of a free game, which have nothing to transport; the
+replay game's copy-dealing maps go by way of ``exponential._deal_sim``.  The
+exceptions are the synthesised simulations, which come from the one
+extraction over the relation fixpoint's index
 (``synthesis._relation_simulation``), and the document decoder.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -77,10 +84,11 @@ def check_simulation(s: Simulation) -> list[str]:
            for p in validate_game(g)]
     if out:
         return out  # every read below trusts the games' tables
-    out = validate_span(underlying_span(s))
+    out = validate_span(Span(s.src.states, s.dst.states, s.apex, s.leg1, s.leg2))
     if out:
         return out  # keys below would all be noise
     src, dst, leg1, leg2 = s.src, s.dst, s.leg1, s.leg2
+    _write_all(s.alpha, s.beta, s.gamma)  # at once, not a row per membership test
     alphas = check_keys(
         out, [(r, a1) for r in s.apex for a1 in src.moves[leg1[r]]], s.alpha,
         "alpha missing at {}", "alpha at unexpected key {}",
@@ -132,32 +140,143 @@ def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back
     ``back(r, a1, ctx, d2)`` returns ``(d1, r2)``: the src-counter beta pulls
     d2 back to, and the apex point gamma lands on.  This is the one place that
     keys alpha by (r, a1) and beta and gamma by (r, a1, d2).
+
+    Nothing is walked here: a table writes a row -- the alpha entry of
+    (r, a1) and every beta and gamma entry under it -- when a key of it is
+    first read, and every row, in walk order (apex points, src-moves,
+    dst-counters, each canonically), on the first full read
+    (:class:`_Unwritten`).  The callbacks may run after the construction has
+    returned, outside its enumeration budget, so they must charge nothing.
     """
-    alpha = {}
-    beta = {}
-    gamma = {}
-    for r in apex:
-        i2 = leg2[r]
-        for a1 in src.moves[leg1[r]]:
-            a2, ctx = move(r, a1)
-            alpha[(r, a1)] = a2
-            for d2 in dst.counters[(i2, a2)]:
-                k = (r, a1, d2)
-                beta[k], gamma[k] = back(r, a1, ctx, d2)
+    rows = _Rows()
+    rows.src, rows.dst, rows.apex, rows.leg1, rows.leg2 = src, dst, apex, leg1, leg2
+    rows.move, rows.back = move, back
+    alpha, beta, gamma = _Unwritten(), _Unwritten(), _Unwritten()
+    alpha.rows = beta.rows = gamma.rows = rows
+    # the rows hold their tables weakly: no cycle is left for the collector
+    rows.refs = weakref.ref(alpha), weakref.ref(beta), weakref.ref(gamma)
     return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
+
+
+_ABSENT = object()
+
+
+class _Table(dict):
+    """A transport table of :func:`_transport_sim`, every row written."""
+
+    __slots__ = ("rows", "__weakref__")
+
+
+class _Unwritten(_Table):
+    """A transport table of :func:`_transport_sim` not yet read in full.
+
+    Looking a key up writes its row, and so does a membership test that
+    finds the key; a key that is not there writes nothing.  A full read
+    (iteration, ``len``, ``keys``, ``values``, ``items``, ``==``, ``repr``)
+    writes every row and turns the three tables into plain :class:`_Table`.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        rows = self.rows
+        alpha, beta, gamma = rows.tables()
+        if type(key) is tuple and len(key) == (2 if self is alpha else 3):
+            r, a1 = key[0], key[1]
+            i1 = rows.leg1.get(r)  # a1 is a move at i1 just when src counters (i1, a1)
+            if (i1 is not None and (i1, a1) in rows.src.counters
+                    and (self is alpha or not dict.__contains__(alpha, (r, a1)))):
+                a2, ctx = rows.move(r, a1)
+                counters = rows.dst.counters[(rows.leg2[r], a2)]
+                if self is alpha or key[2] in counters:  # else the row stays unwritten
+                    alpha[(r, a1)] = a2
+                    for d2 in counters:
+                        k = (r, a1, d2)
+                        beta[k], gamma[k] = rows.back(r, a1, ctx, d2)
+                    return dict.__getitem__(self, key)
+        raise KeyError(key)
+
+    def __contains__(self, key):
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def get(self, key, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+
+def _write_all(*tables):
+    """A full read: write every row of each table still being written."""
+    for table in tables:
+        if isinstance(table, _Unwritten):
+            table.rows.fill()
+
+
+def _full_read(read):
+    def full(self):
+        self.rows.fill()
+        return read(self)
+
+    def full_with(self, other):
+        self.rows.fill()
+        _write_all(other)
+        return read(self, other)
+
+    return full_with if read in (dict.__eq__, dict.__ne__) else full
+
+
+# the dict methods that read the storage itself (copy and | go by way of keys)
+for _read in (dict.__iter__, dict.__reversed__, dict.__len__, dict.__eq__, dict.__ne__,
+              dict.__repr__, dict.keys, dict.values, dict.items):
+    setattr(_Unwritten, _read.__name__, _full_read(_read))
+
+
+class _Rows:
+    """The span and callbacks of one :func:`_transport_sim`, and its tables."""
+
+    __slots__ = ("src", "dst", "apex", "leg1", "leg2", "move", "back", "refs")
+
+    def tables(self):
+        """alpha, beta and gamma; a throwaway dict stands in for one that died
+        (a table can outlive its simulation and the other two)."""
+        a, b, g = self.refs
+        tables = a(), b(), g()
+        if tables[0] is None or tables[1] is None or tables[2] is None:
+            return tuple({} if t is None else t for t in tables)
+        return tables
+
+    def fill(self):
+        """Write every row in walk order (a row read already is written again),
+        then drop the callbacks."""
+        tables = alpha, beta, gamma = self.tables()
+        for table in tables:
+            dict.clear(table)
+        move, back, leg1, leg2 = self.move, self.back, self.leg1, self.leg2
+        moves, counters = self.src.moves, self.dst.counters
+        for r in self.apex:
+            i2 = leg2[r]
+            for a1 in moves[leg1[r]]:
+                a2, ctx = move(r, a1)
+                alpha[(r, a1)] = a2
+                for d2 in counters[(i2, a2)]:
+                    k = (r, a1, d2)
+                    beta[k], gamma[k] = back(r, a1, ctx, d2)
+        for table in tables:
+            if type(table) is _Unwritten:
+                table.__class__ = _Table
+        self.move = self.back = None
 
 
 def _relabel_sim(src: Game, dst: Game, there, back) -> Simulation:
     """A simulation whose apex is src's states, from a bijective relabelling.
 
     ``there`` relabels src's states and moves as dst's, ``back`` relabels
-    dst's counters as src's, each distinct one once; the caller promises the
-    successor tables commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
+    dst's counters as src's; the caller promises the successor tables
+    commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
     """
-    pulled = {}
-
     def pull(i, a, _, e):
-        d = pulled[e] if e in pulled else pulled.setdefault(e, back(e))
+        d = back(e)
         return d, src.next[(i, a, d)]
 
     return _transport_sim(
@@ -175,11 +294,11 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
     """Diagrammatic composite: first s, then t (requires s.dst == t.src).
 
     The apex is the pullback of the two spans (:func:`span_compose`), and the
-    transports thread one through the other.
+    transports thread one through the other; a row of the composite asks s
+    and t for the rows it lands on, and only for those.
     """
     if s.dst != t.src:
         raise ValueError("compose: s.dst and t.src are different games")
-    span = span_compose(underlying_span(s), underlying_span(t))
 
     def move(p, a1):
         a2 = s.alpha[(p.fst, a1)]
@@ -190,7 +309,7 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
         d2 = t.beta[(q, a2, d3)]
         return s.beta[(r, a1, d2)], pair(s.gamma[(r, a1, d2)], t.gamma[(q, a2, d3)])
 
-    return _transport_sim(s.src, t.dst, span.apex, span.leg1, span.leg2, move, back)
+    return _transport_sim(s.src, t.dst, *_pullback(s, t), move, back)
 
 
 def zero_sim(src: Game, dst: Game) -> Simulation:
@@ -270,7 +389,7 @@ def equivalent(
         raise SearchRefused("equivalent", n, search_bound,
                             "apex of {size} points exceeds search bound {bound}")
 
-    legs = span_iso(underlying_span(s), underlying_span(t))
+    legs = _pair_fibers(_fibers(s), _fibers(t))
     if legs is None:
         return None
     if mode == "span_only":
@@ -362,6 +481,11 @@ def span_compose(s: Span, t: Span) -> Span:
     """Pullback composite of spans (matched pairs, multiplicities kept)."""
     if s.dst != t.src:
         raise ValueError("span_compose: middle bases differ")
+    return Span(s.src, t.dst, *_pullback(s, t))
+
+
+def _pullback(s, t) -> tuple[FiniteSet, dict, dict]:
+    """The apex and legs of the pullback of two spans or simulations."""
     over: dict[Element, list[Element]] = {}
     for q in t.apex:
         over.setdefault(t.leg1[q], []).append(q)
@@ -372,7 +496,7 @@ def span_compose(s: Span, t: Span) -> Span:
             p = pair(r, q)
             leg1[p] = s.leg1[r]
             leg2[p] = t.leg2[q]
-    return Span(s.src, t.dst, FiniteSet(leg1), leg1, leg2)
+    return FiniteSet(leg1), leg1, leg2
 
 
 def _fibers(x) -> dict[tuple[Element, Element], list[Element]]:

@@ -6,11 +6,12 @@ quantifier loops so the checker has something to be measured against, and
 ``eq`` wraps the equivalence search with a bound wide enough for every
 composite built in the tests, and ``tensor_by_loops`` writes the tensor's
 tables as plain nested loops, the reference ``monoidal.tensor`` is graded
-against.  ``dump_v1`` is the encoder of the retired
-``format_version: 1``, kept as the reference the frozen digests were taken
-with.  ``run_cli`` runs one ``polygame`` command line in process.  The
-``*_total`` functions count, in plain arithmetic, what each builder charges
-its enumeration budget.
+against.  ``dump_v1`` is the encoder of the retired ``format_version: 1``,
+kept as the reference the frozen digests were taken with.  ``walk_tables``
+reads a simulation's tables key by key in walk order, the reference a full
+read is graded against.  ``run_cli`` runs one ``polygame`` command line in
+process.  The ``*_total`` functions count, in plain arithmetic, what each
+builder charges its enumeration budget.
 """
 
 import contextlib
@@ -180,6 +181,27 @@ def valid_by_definition(s: Simulation) -> bool:
         if r not in s.apex:
             return False
     return True
+
+
+def walk_tables(s: Simulation) -> tuple[dict, dict, dict]:
+    """alpha, beta and gamma of s as plain dicts, walked up front.
+
+    The walk looks each key up in turn, in the order a builder that writes
+    its tables before returning would: apex points, then the source moves at
+    leg1, then the target counters of alpha's answer at leg2, each in
+    canonical order.  It never iterates a table, so it reads a table written
+    on demand one row at a time, and a full read of the same simulation must
+    give these dicts, in this order.
+    """
+    alpha, beta, gamma = {}, {}, {}
+    for r in s.apex:
+        for a1 in s.src.moves[s.leg1[r]]:
+            a2 = alpha[(r, a1)] = s.alpha[(r, a1)]
+            for d2 in s.dst.counters[(s.leg2[r], a2)]:
+                k = (r, a1, d2)
+                beta[k] = s.beta[k]
+                gamma[k] = s.gamma[k]
+    return alpha, beta, gamma
 
 
 def tampered(sim: Simulation, rng: random.Random) -> Simulation:
