@@ -20,9 +20,9 @@ moves with equal counter tuples share one fiber.  Only it, :func:`make_game`
 (loose tables) and the document decoder key the counter and successor tables.
 
 The pure builders (``tensor``, ``oplus``, ``lollipop``, ``dual``,
-``tensor_power``, ``power_game`` and ``bang``) share their results: while a
-result and the games it was built from are alive, an equal call returns that
-same object (see :func:`_shared`).  A game's tables must therefore never be
+``tensor_power``, ``power_game`` and ``bang``) share their results: while the
+games a result was built from are alive, an equal call returns that same
+object (see :func:`_shared`).  A game's tables must therefore never be
 mutated, since a shared result may be in use elsewhere.  Nothing switches the
 sharing off; equality of games stays structural.
 """
@@ -89,23 +89,25 @@ def _build_game(states, row) -> Game:
     return Game(FiniteSet(seen), moves, counters, nxt)
 
 
-# call key -> (weak refs to the call's game arguments, weak ref to its result,
-# what its build charged)
+# call key -> (weak refs to the call's game arguments, its result, what its
+# build charged)
 _SHARED: dict = {}
 
 
 def _shared(build):
-    """Share the result of the pure game builder ``build`` while it is held.
+    """Share the result of the pure game builder ``build`` while its game
+    arguments live.
 
     A call is keyed on the builder, the identity of each game argument and the
     value of every other parameter, so ``bang(p, 2)`` and ``bang(p, bound=2)``
-    are one entry.  An entry holds only weak references to its games, and the
-    first of them (argument or result) to die drops it.  So the table keeps no
-    game alive, a refused build stores nothing (a repeat refuses the same way),
-    and a fresh process costs what a warm one does.  A call charges the budget
-    of the construction running, or opens one (:func:`~polygame.limits._charged`);
-    a hit charges what its build did, and rebuilds if that would not fit, so a
-    held result refuses as a fresh build does.
+    are one entry.  An entry holds its result, and only weak references to its
+    game arguments: the first of them to die drops it, and its result with it.
+    So a result lives as long as the games it was built from, and a refused
+    build stores nothing (a repeat refuses the same way).  A call charges the
+    budget of the construction running, or opens one
+    (:func:`~polygame.limits._charged`); a hit charges what its build did, and
+    rebuilds if that would not fit, so a held result refuses as a fresh build
+    does.
     """
     names = build.__code__.co_varnames[:build.__code__.co_argcount]
 
@@ -118,23 +120,20 @@ def _shared(build):
         games = [a for a in args if isinstance(a, Game)]
         key = (build, *(id(a) if isinstance(a, Game) else a for a in args))
         try:
-            refs, out, cost = _SHARED[key]
+            refs, g, cost = _SHARED[key]
         except KeyError:
             pass
         except TypeError:  # an unhashable argument
             return build(*args)
         else:
-            g = out()
-            if (g is not None and all(r() is a for r, a in zip(refs, games))
-                    and budget.used + cost <= budget.ceiling):
+            if all(r() is a for r, a in zip(refs, games)) and budget.used + cost <= budget.ceiling:
                 budget.used += cost
                 return g
         used = budget.used
         g = build(*args)
         pop = _SHARED.pop  # bound now: the callback may run at interpreter exit
         drop = lambda _: pop(key, None)  # noqa: E731 - one callback per entry
-        _SHARED[key] = ([weakref.ref(a, drop) for a in games], weakref.ref(g, drop),
-                        budget.used - used)
+        _SHARED[key] = ([weakref.ref(a, drop) for a in games], g, budget.used - used)
         return g
 
     return functools.wraps(build)(_charged(shared))

@@ -82,7 +82,10 @@ class EnumBudget:
 
 @contextmanager
 def ceiling(n: int):
-    """Refuse past ``n`` in every construction begun inside the block."""
+    """Refuse past ``n``, which must be nonnegative, in every construction
+    begun inside the block."""
+    if n < 0:
+        raise ValueError(f"ceiling must be nonnegative, not {n}")
     token = _OPEN.set(n)
     try:
         yield

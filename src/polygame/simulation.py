@@ -30,25 +30,18 @@ maps, one relabelling the source's states and moves as the target's, one
 relabelling the target's counters as the source's; the inverse relabelling
 is the same two maps swapped.
 
-The transports are written once as well: ``_transport_sim`` keeps a span
-and two callbacks, one for alpha and one for beta and gamma, and its tables
-write a row (an alpha entry and the beta and gamma entries under it) the first
-time a key of it is read.  So a composite asks its operands only at the points
-and moves it lands on, and a table nobody reads in full is never walked.  The
-first full read (iteration, ``len``, ``items``, ``==``, :func:`check_simulation`,
-:func:`equivalent`, a document dump) writes every row in the walk's canonical
-order, so tables read in full, and every output byte, are what a walk up front
-gives.  Every builder goes through it (README, "The model"), even ``zero_sim``
-and the transposes out of a free game, which have nothing to transport; the
-replay game's copy-dealing maps go by way of ``exponential._deal_sim``.  The
-exceptions are the synthesised simulations, which come from the one
-extraction over the relation fixpoint's index
+The transports are written once as well: ``_transport_sim`` walks a span's
+source moves and target counters and asks one callback for alpha, another for
+beta and gamma.  Every builder goes through it (README, "The model"), even
+``zero_sim`` and the transposes out of a free game, which have nothing to
+transport; the replay game's copy-dealing maps go by way of
+``exponential._deal_sim``.  The exceptions are the synthesised simulations,
+which come from the one extraction over the relation fixpoint's index
 (``synthesis._relation_simulation``), and the document decoder.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -88,7 +81,6 @@ def check_simulation(s: Simulation) -> list[str]:
     if out:
         return out  # keys below would all be noise
     src, dst, leg1, leg2 = s.src, s.dst, s.leg1, s.leg2
-    _write_all(s.alpha, s.beta, s.gamma)  # at once, not a row per membership test
     alphas = check_keys(
         out, [(r, a1) for r in s.apex for a1 in src.moves[leg1[r]]], s.alpha,
         "alpha missing at {}", "alpha at unexpected key {}",
@@ -141,131 +133,21 @@ def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back
     d2 back to, and the apex point gamma lands on.  This is the one place that
     keys alpha by (r, a1) and beta and gamma by (r, a1, d2).
 
-    Nothing is walked here: a table writes a row -- the alpha entry of
-    (r, a1) and every beta and gamma entry under it -- when a key of it is
-    first read, and every row, in walk order (apex points, src-moves,
-    dst-counters, each canonically), on the first full read
-    (:class:`_Unwritten`).  The callbacks may run after the construction has
-    returned, outside its enumeration budget, so they must charge nothing.
+    The walk goes over apex points, src-moves and dst-counters, each in
+    canonical order, so the tables' order is the same in every run.
     """
-    rows = _Rows()
-    rows.src, rows.dst, rows.apex, rows.leg1, rows.leg2 = src, dst, apex, leg1, leg2
-    rows.move, rows.back = move, back
-    alpha, beta, gamma = _Unwritten(), _Unwritten(), _Unwritten()
-    alpha.rows = beta.rows = gamma.rows = rows
-    # the rows hold their tables weakly: no cycle is left for the collector
-    rows.refs = weakref.ref(alpha), weakref.ref(beta), weakref.ref(gamma)
+    alpha = {}
+    beta = {}
+    gamma = {}
+    for r in apex:
+        i2 = leg2[r]
+        for a1 in src.moves[leg1[r]]:
+            a2, ctx = move(r, a1)
+            alpha[(r, a1)] = a2
+            for d2 in dst.counters[(i2, a2)]:
+                k = (r, a1, d2)
+                beta[k], gamma[k] = back(r, a1, ctx, d2)
     return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
-
-
-_ABSENT = object()
-
-
-class _Table(dict):
-    """A transport table of :func:`_transport_sim`, every row written."""
-
-    __slots__ = ("rows", "__weakref__")
-
-
-class _Unwritten(_Table):
-    """A transport table of :func:`_transport_sim` not yet read in full.
-
-    Looking a key up writes its row, and so does a membership test that
-    finds the key; a key that is not there writes nothing.  A full read
-    (iteration, ``len``, ``keys``, ``values``, ``items``, ``==``, ``repr``)
-    writes every row and turns the three tables into plain :class:`_Table`.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        rows = self.rows
-        alpha, beta, gamma = rows.tables()
-        if type(key) is tuple and len(key) == (2 if self is alpha else 3):
-            r, a1 = key[0], key[1]
-            i1 = rows.leg1.get(r)  # a1 is a move at i1 just when src counters (i1, a1)
-            if (i1 is not None and (i1, a1) in rows.src.counters
-                    and (self is alpha or not dict.__contains__(alpha, (r, a1)))):
-                a2, ctx = rows.move(r, a1)
-                counters = rows.dst.counters[(rows.leg2[r], a2)]
-                if self is alpha or key[2] in counters:  # else the row stays unwritten
-                    alpha[(r, a1)] = a2
-                    for d2 in counters:
-                        k = (r, a1, d2)
-                        beta[k], gamma[k] = rows.back(r, a1, ctx, d2)
-                    return dict.__getitem__(self, key)
-        raise KeyError(key)
-
-    def __contains__(self, key):
-        return self.get(key, _ABSENT) is not _ABSENT
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-
-def _write_all(*tables):
-    """A full read: write every row of each table still being written."""
-    for table in tables:
-        if isinstance(table, _Unwritten):
-            table.rows.fill()
-
-
-def _full_read(read):
-    def full(self):
-        self.rows.fill()
-        return read(self)
-
-    def full_with(self, other):
-        self.rows.fill()
-        _write_all(other)
-        return read(self, other)
-
-    return full_with if read in (dict.__eq__, dict.__ne__) else full
-
-
-# the dict methods that read the storage itself (copy and | go by way of keys)
-for _read in (dict.__iter__, dict.__reversed__, dict.__len__, dict.__eq__, dict.__ne__,
-              dict.__repr__, dict.keys, dict.values, dict.items):
-    setattr(_Unwritten, _read.__name__, _full_read(_read))
-
-
-class _Rows:
-    """The span and callbacks of one :func:`_transport_sim`, and its tables."""
-
-    __slots__ = ("src", "dst", "apex", "leg1", "leg2", "move", "back", "refs")
-
-    def tables(self):
-        """alpha, beta and gamma; a throwaway dict stands in for one that died
-        (a table can outlive its simulation and the other two)."""
-        a, b, g = self.refs
-        tables = a(), b(), g()
-        if tables[0] is None or tables[1] is None or tables[2] is None:
-            return tuple({} if t is None else t for t in tables)
-        return tables
-
-    def fill(self):
-        """Write every row in walk order (a row read already is written again),
-        then drop the callbacks."""
-        tables = alpha, beta, gamma = self.tables()
-        for table in tables:
-            dict.clear(table)
-        move, back, leg1, leg2 = self.move, self.back, self.leg1, self.leg2
-        moves, counters = self.src.moves, self.dst.counters
-        for r in self.apex:
-            i2 = leg2[r]
-            for a1 in moves[leg1[r]]:
-                a2, ctx = move(r, a1)
-                alpha[(r, a1)] = a2
-                for d2 in counters[(i2, a2)]:
-                    k = (r, a1, d2)
-                    beta[k], gamma[k] = back(r, a1, ctx, d2)
-        for table in tables:
-            if type(table) is _Unwritten:
-                table.__class__ = _Table
-        self.move = self.back = None
 
 
 def _relabel_sim(src: Game, dst: Game, there, back) -> Simulation:
@@ -294,8 +176,7 @@ def compose(s: Simulation, t: Simulation) -> Simulation:
     """Diagrammatic composite: first s, then t (requires s.dst == t.src).
 
     The apex is the pullback of the two spans (:func:`span_compose`), and the
-    transports thread one through the other; a row of the composite asks s
-    and t for the rows it lands on, and only for those.
+    transports thread one through the other.
     """
     if s.dst != t.src:
         raise ValueError("compose: s.dst and t.src are different games")
@@ -368,8 +249,8 @@ def equivalent(
 
     Returns a :class:`SpanIso` or ``None``.  Raises :class:`SearchRefused`
     when an apex exceeds ``search_bound`` -- refusal is deliberately distinct
-    from a "no".  Both simulations must individually be valid; garbage in,
-    garbage out.
+    from a "no" -- and ValueError when ``search_bound`` is negative.  Both
+    simulations must individually be valid; garbage in, garbage out.
 
     The search never enumerates raw permutations.  Points are coloured by
     everything locally observable (legs, the full alpha and beta rows) and
@@ -380,6 +261,8 @@ def equivalent(
     """
     if mode not in ("full", "span_only"):
         raise ValueError(f"unknown mode {mode!r}")
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, not {search_bound}")
     if s.src != t.src or s.dst != t.dst:
         raise ValueError("equivalent: simulations are not parallel")
     n = len(s.apex)

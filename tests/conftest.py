@@ -8,8 +8,8 @@ composite built in the tests, and ``tensor_by_loops`` writes the tensor's
 tables as plain nested loops, the reference ``monoidal.tensor`` is graded
 against.  ``dump_v1`` is the encoder of the retired ``format_version: 1``,
 kept as the reference the frozen digests were taken with.  ``walk_tables``
-reads a simulation's tables key by key in walk order, the reference a full
-read is graded against.  ``run_cli`` runs one ``polygame`` command line in
+reads a simulation's tables key by key in walk order, the reference its
+tables are graded against.  ``run_cli`` runs one ``polygame`` command line in
 process.  The ``*_total`` functions count, in plain arithmetic, what each
 builder charges its enumeration budget.
 """
@@ -189,9 +189,8 @@ def walk_tables(s: Simulation) -> tuple[dict, dict, dict]:
     The walk looks each key up in turn, in the order a builder that writes
     its tables before returning would: apex points, then the source moves at
     leg1, then the target counters of alpha's answer at leg2, each in
-    canonical order.  It never iterates a table, so it reads a table written
-    on demand one row at a time, and a full read of the same simulation must
-    give these dicts, in this order.
+    canonical order.  It never iterates a table, and the tables of the same
+    simulation must be these dicts, in this order.
     """
     alpha, beta, gamma = {}, {}, {}
     for r in s.apex:

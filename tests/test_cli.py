@@ -331,11 +331,14 @@ def test_help_exits_zero(args):
     ["power", "coin", "two"],
     ["synth", "coin"],
     ["laws", "--suite", "nope"],
+    ["dual", "coin", "--max-enum", "-1"],
+    ["equiv", "SIM", "SIM", "--search-bound", "-1"],
 ], ids=["missing-argument", "no-command", "unknown-command", "unknown-option",
         "abbreviated-option", "bad-format", "bad-max-enum", "bad-int", "synth-without-side",
-        "unknown-suite"])
-def test_bad_command_lines_exit_one_with_empty_stdout(args):
-    res = invoke(*args)
+        "unknown-suite", "negative-max-enum", "negative-search-bound"])
+def test_bad_command_lines_exit_one_with_empty_stdout(args, tmp_path):
+    sim = write(tmp_path, "sim.json", "simulation", identity_sim(COIN))
+    res = invoke(*(sim if arg == "SIM" else arg for arg in args))
     assert res.exit_code == EXIT_BAD_INPUT
     assert res.stdout == ""
     assert res.stderr

@@ -13,6 +13,7 @@ from polygame.elements import atom
 from polygame.exponential import (
     bang, chat, comul_sim, dereliction_sim, digging_sim, power_game, tensor_power
 )
+from polygame.fixtures import TRAP
 from polygame.laws import random_game
 from polygame.limits import EnumBudget, SizeRefused, ceiling
 from polygame.monoidal import dual, lollipop
@@ -49,6 +50,14 @@ def test_pi_charges_before_it_yields():
     assert str(refused.value) == "pi (cumulative): would enumerate 8 objects (ceiling 7)"
 
 
+def test_a_negative_ceiling_is_bad_input_and_zero_refuses():
+    with pytest.raises(ValueError, match="ceiling must be nonnegative, not -1"):
+        with ceiling(-1):
+            pass
+    with ceiling(0), pytest.raises(SizeRefused):
+        dual(TRAP)
+
+
 def games(n: int):
     """``n`` random games of at most 3 states, 2 moves and 2 counters."""
     return strat.integers(0, 2**32).map(
@@ -59,13 +68,16 @@ def games(n: int):
 def refuses_below_and_accepts_at(build, total: int) -> str:
     """Check that ``build()`` refuses under ``ceiling(total - 1)``, having
     reached ``total``, and is accepted under ``ceiling(total)``; return the
-    refusal's text."""
-    with ceiling(total - 1), pytest.raises(SizeRefused) as refused:
-        build()
-    assert refused.value.count == total
+    refusal's text ("" when ``total`` is 0: no ceiling lies below it)."""
+    text = ""
+    if total:
+        with ceiling(total - 1), pytest.raises(SizeRefused) as refused:
+            build()
+        assert refused.value.count == total
+        text = str(refused.value)
     with ceiling(total):
         build()
-    return str(refused.value)
+    return text
 
 
 SETTINGS = hypothesis.settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""The pure game builders share each result while it and its games are held."""
+"""The pure game builders share each result while the games it was built from live."""
 
 import gc
 import random
@@ -9,7 +9,7 @@ import pytest
 from polygame import games
 from polygame.additive import oplus
 from polygame.exponential import bang, power_game, tensor_power
-from polygame.fixtures import COIN, TRAP, UNIT, unit_game
+from polygame.fixtures import COIN, ONEWAY, TRAP, UNIT, unit_game
 from polygame.laws import SUITES, failing, random_game, run_suite
 from polygame.limits import DEFAULT_MAX_ENUM, SizeRefused, ceiling
 from polygame.monoidal import dual, lollipop, tensor
@@ -54,26 +54,47 @@ def test_equal_but_distinct_arguments_do_not_share():
     assert tensor(twin, COIN) == held
 
 
-def test_the_table_keeps_no_game_alive():
+def _entries(t):
+    return [k for k, (_, out, _) in games._SHARED.items() if out is t]
+
+
+def test_the_table_keeps_no_argument_alive():
     g = random_game(random.Random(7))
     t = tensor(g, g)
-    dead_t = weakref.ref(t)
-    keys = [k for k, (_, out, _) in games._SHARED.items() if out() is t]
+    dead_g, dead_t = weakref.ref(g), weakref.ref(t)
+    keys = _entries(t)
     assert len(keys) == 1
     del g, t
     gc.collect()
-    assert dead_t() is None
+    assert dead_g() is None and dead_t() is None
     assert keys[0] not in games._SHARED
 
 
 def test_a_dead_argument_drops_the_entry_it_was_part_of():
     g = random_game(random.Random(8))
     t = tensor(COIN, g)
-    keys = [k for k, (_, out, _) in games._SHARED.items() if out() is t]
+    keys = _entries(t)
     del g
     gc.collect()
     assert keys and keys[0] not in games._SHARED
     assert t.states  # the result itself lives on while it is held
+
+
+def test_a_result_lives_while_its_arguments_do():
+    # no test module holds this build, so only the table can keep it
+    dead = weakref.ref(power_game(ONEWAY, 3))
+    gc.collect()
+    assert dead() is not None and power_game(ONEWAY, 3) is dead()
+
+
+def test_a_result_built_from_a_transient_game_dies_with_it():
+    g = random_game(random.Random(9))
+    dead = weakref.ref(power_game(g, 2))
+    gc.collect()
+    assert dead() is not None and _entries(dead())
+    del g
+    gc.collect()
+    assert dead() is None
 
 
 def test_a_refused_build_stores_nothing_and_refuses_again():

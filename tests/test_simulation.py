@@ -220,6 +220,14 @@ def test_search_bound_refusal_is_uniform():
     assert equivalent(big, big, "full", search_bound=4) is not None
 
 
+def test_a_negative_search_bound_is_bad_input():
+    one = identity_sim(COIN)
+    with pytest.raises(ValueError, match="search bound must be nonnegative, not -1"):
+        equivalent(one, one, search_bound=-1)
+    with pytest.raises(SearchRefused):
+        equivalent(one, one, search_bound=0)
+
+
 def test_equivalence_rejects_mismatched_endpoints():
     with pytest.raises(ValueError):
         equivalent(identity_sim(COIN), identity_sim(TRAP))
