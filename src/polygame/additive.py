@@ -2,9 +2,10 @@
 
 The sum of two games is their tagged disjoint union: play happens on the left
 or on the right and never crosses.  It is simultaneously a product and a
-coproduct (a biproduct): injections and projections compose to identities or
-to the zero simulation, and pairing/copairing are built from them with the
-sum of simulations.
+coproduct (a biproduct).  Only ``injection`` (a relabelling) and ``copair``
+(the one map out of a sum) are written by hand: a ``projection`` is the copair
+of an identity and a zero map, and ``pairing`` the sum of its components
+composed with the injections.
 
 Two degenerate constructions bracket every game: ``free_game`` puts no moves
 on a set of positions (maps *out* of it are trivial to come by) and
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .elements import FiniteSet, atom, pair
+from .elements import Element, FiniteSet, atom, pair
 from .fixtures import EMPTY
 from .games import Game, _build_game, _shared
 from .simulation import (
-    Simulation, Span, _relabel_sim, _transport_sim, add, compose, validate_span
+    Simulation, Span, _relabel_sim, _transport_sim, add, compose, identity_sim, validate_span,
+    zero_sim,
 )
 
 _L = atom("L")
@@ -63,28 +65,25 @@ def bigoplus(games: Iterable[Game]) -> Game:
     return out
 
 
+def _summand(p1: Game, p2: Game, side: int) -> tuple[Element, Game]:
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, not {side!r}")
+    return (_L, p1) if side == 1 else (_R, p2)
+
+
 def injection(p1: Game, p2: Game, side: int) -> Simulation:
     """The coprojection of one summand into the sum (side 1 or 2)."""
-    tag, p = {1: (_L, p1), 2: (_R, p2)}[side]
+    tag, p = _summand(p1, p2, side)
     return _relabel_sim(p, oplus(p1, p2), lambda x: pair(tag, x), lambda e: e.snd)
 
 
 def projection(p1: Game, p2: Game, side: int) -> Simulation:
-    """The projection of the sum onto one summand (side 1 or 2)."""
-    tag, p = {1: (_L, p1), 2: (_R, p2)}[side]
-
-    def back(i, ta, _, d):
-        return pair(tag, d), p.next[(i, ta.snd, d)]
-
-    return _transport_sim(
-        oplus(p1, p2),
-        p,
-        p.states,
-        {i: pair(tag, i) for i in p.states},
-        {i: i for i in p.states},
-        lambda i, ta: (ta.snd, None),
-        back,
-    )
+    """The projection of the sum onto one summand (side 1 or 2): the copair
+    of that summand's identity and the zero map out of the other."""
+    _summand(p1, p2, side)  # refuses a side other than 1 or 2
+    if side == 1:
+        return copair(identity_sim(p1), zero_sim(p2, p1))
+    return copair(zero_sim(p1, p2), identity_sim(p2))
 
 
 def copair(s1: Simulation, s2: Simulation) -> Simulation:

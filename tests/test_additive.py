@@ -88,6 +88,23 @@ def test_projection_of_injection_is_identity_or_zero():
         assert eq(compose(i2, p1), zero_sim(q, p))
 
 
+def test_a_side_other_than_one_or_two_is_bad_input():
+    for side in (0, 3, "1"):
+        for make in (injection, projection):
+            with pytest.raises(ValueError, match="side must be 1 or 2"):
+                make(COIN, TRAP, side)
+
+
+# each projection is the copair of an identity and a zero map, so its apex is
+# the tagged states of its own summand
+def test_projection_is_the_copair_of_an_identity_and_a_zero_map():
+    for p, q in PAIRS:
+        assert projection(p, q, 1) == copair(identity_sim(p), zero_sim(q, p))
+        assert projection(p, q, 2) == copair(zero_sim(p, q), identity_sim(q))
+        tagged = [(r.fst, r.snd) for r in projection(p, q, 2).apex]
+        assert tagged == [(atom("R"), i) for i in q.states]
+
+
 # iota_0 o pi_0 + iota_1 o pi_1 ~ id
 def test_injections_and_projections_resolve_the_identity():
     for p, q in PAIRS:

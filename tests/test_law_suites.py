@@ -108,7 +108,9 @@ FROZEN = {
     "iso:unit_r_inv": "190fec670da7c4ecaa8bc0c82275072b3066aaaec54dc3a3965ddc52a93b1f49",
     "iso:symmetry": "c282b2de651cd5f925529b5e2803894926638b91bd00a3844ed7c9d86a288de3",
     "injection": "65aa4e57088b591b5482782ba496c4ab91c4097c68add5985dbebb4139750c08",
-    "projection": "172f1cf8c997f1a1ee70ce4f3829df3be8638777bd00bf67eb61fcbcb7478fbd",
+    # re-pinned when the projection became the copair of an identity and a
+    # zero map: its apex points are the tagged states of its summand
+    "projection": "13c91abca7d00f6ce8255cfb64d66b1d4fdfc990635cc863e248d0fdeea5211e",
     "copair": "bd1af132aa787172c5b5759587a76b3e7c9c9519e97eab0e22797116faa42178",
     "to_sim": "8c8839d962c34e80a7afc1321fca4789ed88b559660b6c23f40e17bd8b755e5e",
     "chat": "7ffbe82c267916740125dbe5a0223727ab8a55c73d0b25fc0b2fb843d570d0ff",
@@ -159,7 +161,7 @@ FROZEN_V2 = {
     "iso:unit_r_inv": "333ed4f144f661351a9f5e0e75201d4115e0217268ba735892873d9a6d18ceca",
     "iso:symmetry": "e132497c1293b0d6783c55d5388fc2ff8e066226f98c8c15825a5e976d7db89a",
     "injection": "cdb7a262adee118aa67452385136a2aedeb2732658524e826365518d2cf135db",
-    "projection": "80a6061dc69984f07308a76a9c5ae2c529fd9f58c914f7cc82712b76c66b5181",
+    "projection": "5dc4894c6e7a255978a8454afc826e7e62e5c369ec75baa0cdc1e4ade99ed6d9",
     "copair": "73701337622ed32303a7e8670ec15a538dd6b9b6ae74ba0e387dcc81272a6f13",
     "to_sim": "f5d024042862fd5da914d7556badbf0f84d56d811e169babbd5ea43c9484425a",
     "chat": "2de5fd3df7c9b44c1ff55f978c160a4b0d58c2cbdf91eca990c1e4efd59c2800",
