@@ -564,16 +564,19 @@ def digging_sim(p: Game, bound: int) -> Simulation:
     """Iterate: replay game -> replay of the replay game.
 
     A witness holds a pool of copies together with a way to parcel it into at
-    most ``bound`` groups (empty groups allowed).  A move word deals each copy
-    to the first group, in sorted order, still short of its state; the target
-    word lists the groups in the order their first copies occur in the move
-    word, empty groups last.  So extracting after digging reads the move word
-    back in its own order, and both counit laws hold on the nose.
+    most ``bound`` nonempty groups; the one empty group is that of the empty
+    pool's one-part grouping.  A move word deals each copy to the first
+    group, in sorted order, still short of its state; the target word lists
+    the groups in the order their first copies occur in the move word.  So
+    extracting after digging reads the move word back in its own order, both
+    counit laws hold on the nose, and so does coassociativity.
     """
     src = bang(p, bound)
     dst = bang(src, bound)
+    empty = mset([mset([])])
     apex = FiniteSet(
-        pair(m, big) for big in dst.states if (m := _flatten(big)) in src.states
+        pair(m, big) for big in dst.states
+        if (m := _flatten(big)) in src.states and (big is empty or mset([]) not in big.items)
     )
 
     def deal(r, a):
@@ -583,7 +586,7 @@ def digging_sim(p: Game, bound: int) -> Simulation:
             k = next(k for k, c in enumerate(need) if c[x.fst])
             need[k][x.fst] -= 1
             groups[k].append(j)
-        return sorted(groups, key=lambda grp: grp[0] if grp else len(a.items))
+        return sorted(groups)
 
     def spell(r, letters):
         return tup(*(pair(mset(x.fst for x in ls), tup(*ls)) for ls in letters))

@@ -116,8 +116,9 @@ FROZEN = {
     "chat": "7ffbe82c267916740125dbe5a0223727ab8a55c73d0b25fc0b2fb843d570d0ff",
     "factor_through_power": "122bb8cde312a57493fe6b07cace70f6b93c6e0587021e5b586dd3fe84dd24f2",
     "dereliction_sim": "dbaa4d033321fc7ed6463764f6b1102aa92c6d1315bfd146c180157c2154337b",
-    # re-pinned with "exponential" above
-    "digging_sim": "1fd5e73f57b890f6d33f0c891b9717e43a84619cca3cb5aec16ef4bc6dfe3e73",
+    # re-pinned when digging stopped dealing copies into empty groups (the
+    # empty pool's one-part grouping aside), which made it coassociative
+    "digging_sim": "aa487a0f61bcc0ef1bd7182bed89329bf23fd9022d438d9012fda590a3770573",
     "deriving_sim": "0ec565f57feb63d81daf1c3eeeb18da2159013d57397e3795849c99ae3a033d2",
     "bang_sim": "6d95967dba77b650e41d294a636fb368becad4da66b029111fe388b263ba5fee",
     # the game builders' documents as written by a hand-rolled row loop in each
@@ -167,7 +168,7 @@ FROZEN_V2 = {
     "chat": "2de5fd3df7c9b44c1ff55f978c160a4b0d58c2cbdf91eca990c1e4efd59c2800",
     "factor_through_power": "f035446ebb6ebbf90725d3c4efa75c1d56fc78af9d1b5d01ef24f83d97be298c",
     "dereliction_sim": "7d2fac71909fe16b1cc56e15c87be2389e44bafeebec7e36e984faf1d0e15c59",
-    "digging_sim": "9cb44bc66fa05863dec5159778d0e0311622c5e86eeca62fcd0c1ee1728a128f",
+    "digging_sim": "00bc5d510f36f106ba32ea8475ccc2c9e35a38740341251b46e9eb2add4be711",
     "deriving_sim": "7f54261f0d1214143f171bb394ba399eb93d3b6b3436b1d2139a88d93f3bd776",
     "bang_sim": "c213999b140de1340ceeaa151ac7257cf6b071ab690e670b96bc50cd48981d6c",
     "tensor": "230fe2922146664bc6632f9c919278e5e89bd7ac2d1089145b86850a9ef7fadd",
