@@ -55,6 +55,9 @@ def main():
     print("do digging's two counit laws: extracting after digging, either the")
     print("replay game or one copy of each, is the identity.  Both gate")
     print("`polygame laws --suite exponential`; run it to see them checked.")
+    print("Digging is coassociative too: digging twice, on the outer or the")
+    print("inner replay game, is the same map.  That gates")
+    print("`polygame laws --suite comonad`.")
 
 
 if __name__ == "__main__":

@@ -264,7 +264,8 @@ def _factor_power(a):
 @_command(
     "laws",
     ("--suite", dict(required=True, help="Which battery of checks to run: category, "
-                                         "monoidal, biproduct, exponential or synthesis.")),
+                                         "monoidal, biproduct, exponential, comonad or "
+                                         "synthesis.")),
     ("--seed", dict(type=int, default=0,
                     help="Seed of the battery's random inputs (default: %(default)s).")),
 )

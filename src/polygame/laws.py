@@ -168,30 +168,16 @@ def symmetrize_span(rng: random.Random, base: FiniteSet, k: int, size: int = 3):
     """A random reshuffle-coequalizing span of words, with its witnesses."""
     words = all_words(base, k)
     targets = FiniteSet(atom(f"j{n}") for n in range(rng.randint(1, 3)))
-    seeds = []
-    for n in range(size):
-        seeds.append((atom(f"r{n}"), rng.choice(words.items), rng.choice(targets.items)))
-    pts = {}
-    for sigma in all_perms(k):
-        for name, w, j in seeds:
-            pts[(sigma, name)] = pair(perm_element(sigma), name)
-    apex = FiniteSet(pts.values())
-    leg1 = {}
-    leg2 = {}
-    for (sigma, name), pt in pts.items():
-        w = next(w0 for n0, w0, _ in seeds if n0 == name)
-        j = next(j0 for n0, _, j0 in seeds if n0 == name)
-        leg1[pt] = tup(*perm_apply(sigma, w.items))
-        leg2[pt] = j
-    phi = Span(words, targets, apex, leg1, leg2)
-    witnesses = {}
-    for tau in all_perms(k):
-        h = {}
-        for (sigma, name), pt in pts.items():
-            composed = tuple(tau[sigma[j]] for j in range(k))
-            h[pt] = pts[(composed, name)]
-        witnesses[tau] = h
-    return phi, witnesses
+    seeds = [(atom(f"r{n}"), rng.choice(words.items), rng.choice(targets.items))
+             for n in range(size)]
+    perms = all_perms(k)
+    # one apex point per (sigma, seed): the seed's word reshuffled by sigma
+    pts = {(sigma, seed): pair(perm_element(sigma), seed[0]) for sigma in perms for seed in seeds}
+    leg1 = {pt: tup(*perm_apply(sigma, w.items)) for (sigma, (_, w, _)), pt in pts.items()}
+    leg2 = {pt: j for (_, (_, _, j)), pt in pts.items()}
+    witnesses = {tau: {pt: pts[(tuple(tau[x] for x in sigma), seed)]
+                       for (sigma, seed), pt in pts.items()} for tau in perms}
+    return Span(words, targets, FiniteSet(pts.values()), leg1, leg2), witnesses
 
 
 # -- suite: category ---------------------------------------------------------------
@@ -499,6 +485,31 @@ EXPONENTIAL = [
 ]
 
 
+# -- suite: comonad -----------------------------------------------------------------
+
+
+def _dig_twice(p: Game, bound: int) -> tuple:
+    """The two ways of digging twice out of the replay game of p, dig ; dig(!p)
+    and dig ; !dig, or two Nones when a build is refused."""
+    try:
+        dig = digging_sim(p, bound)
+        return compose(dig, digging_sim(bang(p, bound), bound)), compose(dig, bang_sim(dig, bound))
+    except SizeRefused:
+        return None, None
+
+
+def _draw_comonad(rng: random.Random, draws: int = 3, bound: int = 2) -> dict:
+    # COIN is left out: at bound 2 the triple replay game is refused
+    games = [UNIT, TRAP, ONEWAY] + [random_game(rng) for _ in range(draws)]
+    return {"replays": [_dig_twice(p, bound) for p in games]}
+
+
+COMONAD = [
+    Law("iterate-coassociative", "replays", lambda lhs, rhs: lhs is None or _eq(lhs, rhs),
+        lambda cases: f"{sum(lhs is not None for lhs, _ in cases)}/{len(cases)} cases decided"),
+]
+
+
 # -- suite: synthesis ----------------------------------------------------------------
 
 
@@ -562,6 +573,7 @@ SUITES = {
     "monoidal": (_draw_monoidal, MONOIDAL),
     "biproduct": (_draw_biproduct, BIPRODUCT),
     "exponential": (_draw_exponential, EXPONENTIAL),
+    "comonad": (_draw_comonad, COMONAD),
     "synthesis": (_draw_synthesis, SYNTHESIS),
 }
 

@@ -347,7 +347,7 @@ def test_bad_command_lines_exit_one_with_empty_stdout(args, tmp_path):
 def test_unknown_suite_names_the_suites():
     res = invoke("laws", "--suite", "nope")
     assert res.stderr == ("unknown suite 'nope'; choose from biproduct, category, "
-                          "exponential, monoidal, synthesis\n")
+                          "comonad, exponential, monoidal, synthesis\n")
 
 
 def test_invalid_game_row_inside_a_simulation_is_refused(tmp_path):

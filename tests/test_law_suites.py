@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from polygame.exponential import bang, digging_sim
 from polygame.fixtures import COIN, ONEWAY
-from polygame.laws import SUITES, Law, check, failing, run_suite
+from polygame.laws import SUITES, Law, _dig_twice, check, failing, run_suite
+from polygame.limits import SizeRefused
 from polygame.simulation import Simulation
 
 
@@ -37,6 +39,17 @@ def test_exponential_fixture_laws_hold_on_a_new_scope(monkeypatch):
     assert [law.name for law in replay] == ["replay-comonoid-laws", "extract-prepend-iterate-valid"]
     monkeypatch.setitem(SUITES, "oneway", (lambda rng: {"fixtures": [(ONEWAY, 2)]}, replay))
     assert run_suite("oneway", 0) == [check(law.name, True) for law in replay]
+
+
+# COIN is the comonad suite's missing fixture: at bound 2 its triple replay
+# game is refused under the default ceiling, and a refused case holds vacuously
+def test_a_refused_coassociativity_case_is_vacuous_and_counted(monkeypatch):
+    _, laws = SUITES["comonad"]
+    with pytest.raises(SizeRefused, match="would enumerate 10030 objects"):
+        digging_sim(bang(COIN, 2), 2)
+    monkeypatch.setitem(SUITES, "coin", (lambda rng: {"replays": [_dig_twice(COIN, 2),
+                                                                  _dig_twice(COIN, 1)]}, laws))
+    assert run_suite("coin", 0) == [check("iterate-coassociative", True, "1/2 cases decided")]
 
 
 def test_one_failing_case_fails_the_law_and_the_report(monkeypatch):
@@ -81,6 +94,8 @@ def test_checks_are_report_shaped():
 FROZEN = {
     "biproduct": "bf6419e649e1803ae669e598d20cae9680d21a92283488defeec4ec00c35e821",
     "category": "23ec004890e07a81fa3f06aaf416afa8ee448d4bee3ffaf9858f47477a501ce8",
+    # pinned when the suite was added, with digging's coassociativity
+    "comonad": "4ab586e9a2804047ddf5e250f328fbc5d931742aff153e461427160e9ca0b2be",
     # re-pinned when digging took its groups in the order they occur in the
     # move word, and the suite began to gate on both of its counit laws
     "exponential": "3c2aa04c1215dc16aec73144174e7fe3ac994d78b9d9cd3aff81c1b9cc9cc4b8",
@@ -141,6 +156,7 @@ FROZEN = {
 FROZEN_V2 = {
     "biproduct": "5f4eb1c5be5bf87ed826258d2ebb24899fb8a9d4ee42526fcf39cc5baa7f4312",
     "category": "11a89cb04ee2a033f7cfda52ca7febda752a088e59c1b894bcaeeec0a192fb35",
+    "comonad": "b8a70366bfb650478c786704986c0cf5ab7939d0bad45d5e08231f1b28caa2f3",
     "exponential": "32cf6bad45c929b4be3d53184d134c3440df686b20ee8e3b4ff37eab24041aa5",
     "monoidal": "d305b3279ea7eab7bc93184aa0683691888eab7f2e7bd23150393f141beea977",
     "synthesis": "f874f102fdc4c3b3c10f34dd96e3751c02edcbeb4e36bd0d00e0d825213dac83",
