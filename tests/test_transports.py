@@ -1,9 +1,10 @@
 """Transport tables, written in one walk.
 
 Every simulation ``_transport_sim`` builds must hold the dict, in the order,
-that a key-by-key walk gives (``walk_tables``); a table must keep the Mapping
-contract at keys it does not hold; and the charged builders must fit their
-exact ceilings.
+that a key-by-key walk gives (``walk_tables``), be a valid simulation and
+come back equal from its own document; a table must keep the Mapping contract
+at keys it does not hold; and the charged builders must fit their exact
+ceilings.
 """
 
 import random
@@ -11,7 +12,7 @@ import random
 import pytest
 
 from polygame.additive import adjoint_transpose, copair, injection, projection
-from polygame.documents import dump_document
+from polygame.documents import dump_document, load_document
 from polygame.elements import FiniteSet, atom
 from polygame.exponential import (
     bang, bang_sim, chat, comul_sim, counit_sim, dereliction_sim, deriving_sim, digging_sim,
@@ -21,7 +22,9 @@ from polygame.fixtures import COIN, TRAP, UNIT
 from polygame.laws import random_simulation, symmetrize_over_power
 from polygame.limits import ceiling
 from polygame.monoidal import curry, eval_sim, structural_iso, tensor, tensor_sim, uncurry
-from polygame.simulation import Simulation, Span, add, compose, identity_sim, zero_sim
+from polygame.simulation import (
+    Simulation, Span, add, check_simulation, compose, identity_sim, zero_sim,
+)
 
 from conftest import eq, walk_tables
 
@@ -90,6 +93,17 @@ def test_every_builder_writes_the_walked_tables_in_walk_order(name):
     assert (dict(s.alpha), dict(s.beta), dict(s.gamma)) == want
     assert (list(s.alpha), list(s.beta), list(s.gamma)) == tuple(list(t) for t in want)
     assert s == Simulation(s.src, s.dst, s.apex, s.leg1, s.leg2, *want)
+
+
+# each builder's apex points have their own shape (tagged states, regroupings,
+# tensor pairs), and the document must carry every one of them back
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_every_builder_validates_and_round_trips_through_its_document(name):
+    s = MAKERS[name]()
+    assert check_simulation(s) == []
+    text = dump_document("simulation", s)
+    assert load_document(text) == ("simulation", s)
+    assert dump_document("simulation", load_document(text)[1]) == text
 
 
 def test_an_unread_table_keeps_the_mapping_contract():
