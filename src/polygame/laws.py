@@ -41,7 +41,9 @@ from .exponential import (
 from .fixtures import COIN, ONEWAY, TRAP, UNIT, unit_game
 from .games import Game, make_game, validate_game
 from .limits import SizeRefused
-from .monoidal import curry, dual, eval_sim, lollipop, structural_iso, tensor, tensor_sim, uncurry
+from .monoidal import (
+    _compose_iso, curry, dual, eval_sim, lollipop, structural_iso, tensor, tensor_sim, uncurry,
+)
 from .simulation import (
     Simulation, Span, _transport_sim, add, check_simulation, compose, equivalent, identity_sim,
     span_compose, span_equal, span_identity, zero_sim,
@@ -197,7 +199,7 @@ def _unital(s: Simulation, *_) -> bool:
 
 
 def _nontrivial(cases: list) -> str:
-    return f"{sum(len(left.apex) > 0 for left, _ in cases)}/{len(cases)} non-trivial composites"
+    return f"{sum(len(left.apex) > 0 for left, *_ in cases)}/{len(cases)} non-trivial composites"
 
 
 CATEGORY = [
@@ -448,16 +450,12 @@ def _comonoid(p: Game, bound: int) -> bool:
     ident = identity_sim(bp)
     if check_simulation(dup) or check_simulation(dis):
         return False
-    u_l = structural_iso("unit_l", bp)
-    u_r = structural_iso("unit_r", bp)
-    a_fwd = structural_iso("assoc", bp, bp, bp)
-    swap = structural_iso("symmetry", bp, bp)
     return (
-        _eq(compose(compose(dup, tensor_sim(dis, ident)), u_l), ident)
-        and _eq(compose(compose(dup, tensor_sim(ident, dis)), u_r), ident)
-        and _eq(compose(compose(dup, tensor_sim(dup, ident)), a_fwd),
+        _eq(_compose_iso(compose(dup, tensor_sim(dis, ident)), "unit_l", bp), ident)
+        and _eq(_compose_iso(compose(dup, tensor_sim(ident, dis)), "unit_r", bp), ident)
+        and _eq(_compose_iso(compose(dup, tensor_sim(dup, ident)), "assoc", bp, bp, bp),
                 compose(dup, tensor_sim(ident, dup)))
-        and _eq(compose(dup, swap), dup)
+        and _eq(_compose_iso(dup, "symmetry", bp, bp), dup)
     )
 
 
@@ -498,15 +496,55 @@ def _dig_twice(p: Game, bound: int) -> tuple:
         return None, None
 
 
+def _natural_squares(u: Simulation, bound: int) -> tuple:
+    """Both sides of dereliction's and of digging's naturality at u,
+    ``!u ; der = der ; u`` and ``!u ; dig = dig ; !!u``; digging's two are
+    Nones when a build is refused."""
+    bu = bang_sim(u, bound)
+    der = compose(bu, dereliction_sim(u.dst, bound)), compose(dereliction_sim(u.src, bound), u)
+    try:
+        dig = compose(bu, digging_sim(u.dst, bound)), compose(digging_sim(u.src, bound),
+                                                                bang_sim(bu, bound))
+    except SizeRefused:
+        dig = None, None
+    return *der, *dig
+
+
+# the tensor's coherence isomorphisms, with their numbers of games
+_ISO_KINDS = (("assoc", 3), ("assoc_inv", 3), ("unit_l", 1), ("unit_l_inv", 1), ("unit_r", 1),
+              ("unit_r_inv", 1), ("symmetry", 2))
+
+
 def _draw_comonad(rng: random.Random, draws: int = 3, bound: int = 2) -> dict:
     # COIN is left out: at bound 2 the triple replay game is refused
     games = [UNIT, TRAP, ONEWAY] + [random_game(rng) for _ in range(draws)]
-    return {"replays": [_dig_twice(p, bound) for p in games]}
+    replays = [_dig_twice(p, bound) for p in games]
+    pool = fixture_pool() + [random_game(rng)]
+    u = random_simulation(rng, rng.choice(pool), rng.choice(pool))
+    relabelled = []
+    for kind, arity in _ISO_KINDS:
+        ps = [rng.choice([UNIT, COIN, TRAP]) for _ in range(arity)]
+        iso = structural_iso(kind, *ps)
+        s = random_simulation(rng, rng.choice([UNIT, COIN, TRAP]), iso.src)
+        relabelled.append((_compose_iso(s, kind, *ps), compose(s, iso)))
+    return {
+        "replays": replays,
+        "maps": [_natural_squares(u, n) for n in (1, 2)],
+        "relabelled": relabelled,
+    }
+
+
+def _decided(cases: list) -> str:
+    return f"{sum(lhs is not None for lhs, *_ in cases)}/{len(cases)} cases decided"
 
 
 COMONAD = [
     Law("iterate-coassociative", "replays", lambda lhs, rhs: lhs is None or _eq(lhs, rhs),
-        lambda cases: f"{sum(lhs is not None for lhs, _ in cases)}/{len(cases)} cases decided"),
+        _decided),
+    Law("dereliction-natural", "maps", lambda lhs, rhs, *_: _eq(lhs, rhs), _nontrivial),
+    Law("digging-natural", "maps", lambda _l, _r, lhs, rhs: lhs is None or _eq(lhs, rhs),
+        lambda cases: _decided([case[2:] for case in cases])),
+    Law("relabelled-composite-matches-compose", "relabelled", _eq, _nontrivial),
 ]
 
 

@@ -110,9 +110,27 @@ def structural_iso(kind: str, *games: Game) -> Simulation:
     ``symmetry`` (P2,P1).
 
     Each kind is one entry of element maps; an ``_inv`` kind reads its entry
-    backwards.  Raises ``ValueError`` on an unknown kind or a wrong number of
-    games.
+    backwards.  The iso is the relabelling of its source's own states
+    (``simulation._relabel_sim``); a law that composes with one only to line
+    up types relabels its composite's far end instead (:func:`_compose_iso`).
+    Raises ``ValueError`` on an unknown kind or a wrong number of games.
     """
+    return _relabel_sim(*_iso(kind, games))
+
+
+def _compose_iso(s: Simulation, kind: str, *games: Game) -> Simulation:
+    """``compose(s, structural_iso(kind, *games))``, built as s with its far
+    end relabelled: no iso and no pullback are built.  Raises ``ValueError``
+    as :func:`structural_iso` does, and when s.dst is not the iso's source.
+    """
+    src, dst, there, back = _iso(kind, games)
+    if s.dst != src:
+        raise ValueError(f"compose: s.dst is not the source of {kind!r}")
+    return _relabel_sim(s, dst, there, back)
+
+
+def _iso(kind: str, games: tuple) -> tuple:
+    """The source, target and two element maps of one structural iso."""
     name = kind.removesuffix("_inv")
     if name not in _ISOS or kind == "symmetry_inv":
         raise ValueError(f"unknown structural iso kind {kind!r}")
@@ -120,9 +138,7 @@ def structural_iso(kind: str, *games: Game) -> Simulation:
     if len(games) != arity:
         raise ValueError(f"structural iso {kind!r} takes {arity} games, got {len(games)}")
     src, dst = ends(*games)
-    if name == kind:
-        return _relabel_sim(src, dst, there, back)
-    return _relabel_sim(dst, src, back, there)
+    return (src, dst, there, back) if name == kind else (dst, src, back, there)
 
 
 # -- internal hom --------------------------------------------------------------

@@ -23,12 +23,15 @@ The apex bookkeeping is written once here.  ``_fibers`` lists the apex over
 each pair of positions and ``_pair_fibers`` pairs fibers in order: span iso,
 embedding and equality, the leg check of :func:`equivalent`, and the
 reshuffle witnesses of the powers.  ``_pullback`` is the one pullback, of
-:func:`span_compose` and of :func:`compose`.  ``_relabel_sim`` builds every
-simulation whose apex is its source's states: identities, injections,
-reshuffles and the tensor's coherence isomorphisms.  It takes two element
-maps, one relabelling the source's states and moves as the target's, one
-relabelling the target's counters as the source's; the inverse relabelling
-is the same two maps swapped.
+:func:`span_compose` and of :func:`compose`.  ``_relabel_sim`` is the one
+relabelling: it takes two element maps, one relabelling states and moves of
+the far end as the target's, one relabelling the target's counters back,
+and applies them to a given simulation's far end -- which is
+:func:`compose` with the isomorphism the maps make, with no iso and no
+pullback built -- or to a game's own states, which gives every simulation
+whose apex is its source's states: identities, injections, reshuffles and
+the tensor's coherence isomorphisms.  The inverse of the latter is the same
+two maps swapped.
 
 The transports are written once as well: ``_transport_sim`` walks a span's
 source moves and target counters and asks one callback for alpha, another for
@@ -150,26 +153,46 @@ def _transport_sim(src: Game, dst: Game, apex: FiniteSet, leg1, leg2, move, back
     return Simulation(src, dst, apex, leg1, leg2, alpha, beta, gamma)
 
 
-def _relabel_sim(src: Game, dst: Game, there, back) -> Simulation:
-    """A simulation whose apex is src's states, from a bijective relabelling.
+def _relabel_sim(s, dst: Game, there, back) -> Simulation:
+    """Simulation s with its far end relabelled as dst, from a bijection.
 
-    ``there`` relabels src's states and moves as dst's, ``back`` relabels
-    dst's counters as src's; the caller promises the successor tables
-    commute.  The inverse is ``_relabel_sim(dst, src, back, there)``.
+    ``there`` relabels the states and moves of s's target as dst's, ``back``
+    relabels dst's counters as the target's; the caller promises the
+    successor tables commute.  The apex and ``leg1`` stay; ``leg2`` and
+    alpha go through ``there``, and beta and gamma are read at ``back(e)``.
+    This is ``compose(s, iso)`` for the isomorphism the two maps make,
+    without building the iso or its pullback.
+
+    A game s stands for its own identity, so the result's apex is its
+    states: the identity itself, injections, reshuffles and the coherence
+    isomorphisms, whose inverse is ``_relabel_sim(dst, src, back, there)``.
     """
-    def pull(i, a, _, e):
-        d = back(e)
-        return d, src.next[(i, a, d)]
+    if isinstance(s, Game):
+        src = s
 
-    return _transport_sim(
-        src,
-        dst,
-        src.states,
-        {i: i for i in src.states},
-        {i: there(i) for i in src.states},
-        lambda i, a: (there(a), None),
-        pull,
-    )
+        def move(i, a):
+            return there(a), None
+
+        def pull(i, a, _, e):
+            d = back(e)
+            return d, src.next[(i, a, d)]
+
+        apex = src.states
+        leg1 = {i: i for i in apex}
+        leg2 = {i: there(i) for i in apex}
+    else:
+        src, alpha, beta, gamma = s.src, s.alpha, s.beta, s.gamma
+
+        def move(r, a):
+            return there(alpha[(r, a)]), None
+
+        def pull(r, a, _, e):
+            k = (r, a, back(e))
+            return beta[k], gamma[k]
+
+        apex, leg1 = s.apex, s.leg1
+        leg2 = {r: there(s.leg2[r]) for r in apex}
+    return _transport_sim(src, dst, apex, leg1, leg2, move, pull)
 
 
 def compose(s: Simulation, t: Simulation) -> Simulation:

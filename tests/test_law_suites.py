@@ -44,12 +44,21 @@ def test_exponential_fixture_laws_hold_on_a_new_scope(monkeypatch):
 # COIN is the comonad suite's missing fixture: at bound 2 its triple replay
 # game is refused under the default ceiling, and a refused case holds vacuously
 def test_a_refused_coassociativity_case_is_vacuous_and_counted(monkeypatch):
-    _, laws = SUITES["comonad"]
+    laws = [law for law in SUITES["comonad"][1] if law.scope == "replays"]
     with pytest.raises(SizeRefused, match="would enumerate 10030 objects"):
         digging_sim(bang(COIN, 2), 2)
     monkeypatch.setitem(SUITES, "coin", (lambda rng: {"replays": [_dig_twice(COIN, 2),
                                                                   _dig_twice(COIN, 1)]}, laws))
     assert run_suite("coin", 0) == [check("iterate-coassociative", True, "1/2 cases decided")]
+
+
+# the relabelling is graded by compose with the built iso on some nonempty maps
+@pytest.mark.parametrize("seed", [0, 11])
+def test_relabelled_composites_are_checked_on_nonempty_maps(seed):
+    checks = {c["name"]: c for c in run_suite("comonad", seed)}
+    details = checks["relabelled-composite-matches-compose"]["details"]
+    nonempty, cases = map(int, details.split()[0].split("/"))
+    assert cases == 7 and nonempty > 0
 
 
 def test_one_failing_case_fails_the_law_and_the_report(monkeypatch):
@@ -61,8 +70,9 @@ def test_one_failing_case_fails_the_law_and_the_report(monkeypatch):
 
 
 # one op's work at seed 1000, with every structure map built once, in the one
-# direction its law composes; building both directions exceeds both bounds
-@pytest.mark.parametrize("suite, sims, betas", [("exponential", 104, 15523), ("monoidal", 124, 852)])
+# direction its law composes; building both directions exceeds both bounds,
+# and so does building the coherence isos the comonoid laws relabel through
+@pytest.mark.parametrize("suite, sims, betas", [("exponential", 92, 5279), ("monoidal", 124, 852)])
 def test_structure_maps_are_built_one_way(monkeypatch, suite, sims, betas):
     built = []
     init = Simulation.__init__
@@ -94,8 +104,10 @@ def test_checks_are_report_shaped():
 FROZEN = {
     "biproduct": "bf6419e649e1803ae669e598d20cae9680d21a92283488defeec4ec00c35e821",
     "category": "23ec004890e07a81fa3f06aaf416afa8ee448d4bee3ffaf9858f47477a501ce8",
-    # pinned when the suite was added, with digging's coassociativity
-    "comonad": "4ab586e9a2804047ddf5e250f328fbc5d931742aff153e461427160e9ca0b2be",
+    # pinned when the suite was added, with digging's coassociativity, and
+    # re-pinned when it began to gate on the naturality of dereliction and
+    # digging and on relabelled composites matching compose
+    "comonad": "74edcd6f56d14c8ede599dba55da24daaedca762bbacc098548edc8dcfcfec5f",
     # re-pinned when digging took its groups in the order they occur in the
     # move word, and the suite began to gate on both of its counit laws
     "exponential": "3c2aa04c1215dc16aec73144174e7fe3ac994d78b9d9cd3aff81c1b9cc9cc4b8",
@@ -156,7 +168,8 @@ FROZEN = {
 FROZEN_V2 = {
     "biproduct": "5f4eb1c5be5bf87ed826258d2ebb24899fb8a9d4ee42526fcf39cc5baa7f4312",
     "category": "11a89cb04ee2a033f7cfda52ca7febda752a088e59c1b894bcaeeec0a192fb35",
-    "comonad": "b8a70366bfb650478c786704986c0cf5ab7939d0bad45d5e08231f1b28caa2f3",
+    # re-pinned with the comonad entry of FROZEN
+    "comonad": "17eb1b809d6602679034c4e21514348e8f53e1941f763af2ac758ca626d298b5",
     "exponential": "32cf6bad45c929b4be3d53184d134c3440df686b20ee8e3b4ff37eab24041aa5",
     "monoidal": "d305b3279ea7eab7bc93184aa0683691888eab7f2e7bd23150393f141beea977",
     "synthesis": "f874f102fdc4c3b3c10f34dd96e3751c02edcbeb4e36bd0d00e0d825213dac83",

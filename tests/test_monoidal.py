@@ -6,13 +6,13 @@ import random
 import pytest
 
 from polygame.elements import FiniteSet, atom, pair
-from polygame.exponential import bang
+from polygame.exponential import bang, comul_sim
 from polygame.fixtures import ALL_FIXTURES, COIN, EMPTY, ONEWAY, TRAP, UNIT
 from polygame.games import carrier_iso, make_game, validate_game
 from polygame.laws import random_game, random_simulation
 from polygame.limits import SizeRefused
-from polygame.monoidal import (curry, dual, eval_sim, lollipop, structural_iso, tensor,
-                               tensor_sim, uncurry)
+from polygame.monoidal import (_compose_iso, curry, dual, eval_sim, lollipop, structural_iso,
+                               tensor, tensor_sim, uncurry)
 from polygame.simulation import _relabel_sim, check_simulation, compose, identity_sim
 from polygame.fixtures import unit_game
 
@@ -291,3 +291,26 @@ def test_structural_iso_rejects_a_wrong_number_of_games(kind):
     for games in ((COIN,) * (n - 1), (COIN,) * (n + 1)):
         with pytest.raises(ValueError):
             structural_iso(kind, *games)
+
+
+# the coassociativity composite of the replay comonoid, (bp bp) bp -> bp (bp bp):
+# relabelled at its far end, it keeps its apex and near leg and is the
+# composite with the built associator
+@pytest.mark.parametrize("p, size", [(UNIT, 13), (COIN, 34), (TRAP, 34)])
+def test_a_relabelled_far_end_is_the_composite_with_the_iso(p, size):
+    bp = bang(p, 2)
+    dup = comul_sim(p, 2)
+    s = compose(dup, tensor_sim(dup, identity_sim(bp)))
+    r = _compose_iso(s, "assoc", bp, bp, bp)
+    assert r.apex is s.apex and r.leg1 is s.leg1 and len(r.apex) == size
+    assert check_simulation(r) == []
+    assert eq(r, compose(s, structural_iso("assoc", bp, bp, bp)))
+
+
+@pytest.mark.parametrize("kind", sorted(ISO_ENDS))
+def test_a_relabelled_far_end_must_be_the_iso_source(kind):
+    games = (COIN, TRAP, UNIT)[:ISO_ARITY[kind]]
+    src, dst = ISO_ENDS[kind](*games)
+    assert _compose_iso(identity_sim(src), kind, *games).dst == dst
+    with pytest.raises(ValueError, match="not the source"):
+        _compose_iso(identity_sim(ONEWAY), kind, *games)
